@@ -101,7 +101,7 @@ def measure_tracing_overhead(
     def run_once(traced: bool) -> float:
         begin = time.perf_counter()
         if traced:
-            with _trace("/batch", counters=False):
+            with _trace("/v1", counters=False):
                 database.range_reach_many(pairs, executor)
         else:
             database.range_reach_many(pairs, executor)
@@ -245,11 +245,11 @@ def validate_artifact(artifact: dict) -> None:
         ):
             assert field in row, f"reconciliation sample missing {field!r}"
     batch_rows = [r for r in recon["samples"] if r["kind"] == "batch"]
-    assert batch_rows, "no /batch request was reconciled against a trace"
-    # The headline attribution criterion: a /batch trace under load
+    assert batch_rows, "no /v1 batch request was reconciled against a trace"
+    # The headline attribution criterion: a /v1 batch trace under load
     # attributes >= 95% of server wall time to named stages.
     assert max(r["attributed_fraction"] for r in batch_rows) >= 0.95, (
-        "no /batch trace attributed >= 95% of wall time to stages"
+        "no /v1 batch trace attributed >= 95% of wall time to stages"
     )
     assert recon["attributed_fraction_mean"] >= 0.80
     overhead = tracing["overhead"]

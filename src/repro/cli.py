@@ -651,13 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="thread-pool size for /batch requests (default: 1 = "
+        help="thread-pool size for /v1 batch requests (default: 1 = "
         "sequential)",
     )
     serve.add_argument(
         "--timeout", type=float, default=None,
         help="default per-batch deadline in seconds (a request's own "
-        "'timeout' field overrides it)",
+        "'deadline_ms' field overrides it)",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,

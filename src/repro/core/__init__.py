@@ -32,7 +32,6 @@ from repro.core.base import (
     build_methods,
     sync_known_names_doc,
 )
-from repro.core.deprecation import warn_deprecated
 from repro.core.extensions import GeosocialQueryEngine
 from repro.core.oracle import RangeReachOracle
 from repro.core.spareach import SpaReach
@@ -55,7 +54,6 @@ __all__ = [
     "build_methods",
     "METHOD_REGISTRY",
     "sync_known_names_doc",
-    "warn_deprecated",
     "GeosocialQueryEngine",
     "RangeReachOracle",
     "SpaReach",

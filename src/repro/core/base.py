@@ -8,8 +8,9 @@ The unified query surface lives here:
 * :class:`RangeReachMethod` — the structural protocol (``query``,
   ``query_batch``, ``size_bytes``, ``name``);
 * :class:`RangeReachBase` — the concrete base class all built-in methods
-  inherit; it supplies a correct default ``query_batch`` loop (methods
-  override it with vectorized evaluations) and the request-level
+  inherit; it supplies a correct default ``query_batch`` loop, the
+  distinct-pair batch helper the overriding methods share, the one
+  build-context resolution every constructor uses, and the request-level
   ``execute`` / ``execute_many`` entry points.
 """
 
@@ -29,6 +30,9 @@ from typing import (
 from repro.geometry import Rect, as_rect
 from repro.geosocial.network import GeosocialNetwork
 from repro.geosocial.scc_handling import CondensedNetwork
+from repro.kernels import resolve_backend
+from repro.obs import instruments as _inst
+from repro.obs.metrics import enabled as _obs_enabled
 from repro.obs.trace import trace as _trace
 from repro.obs.trace import tracing as _tracing
 from repro.pipeline import BuildContext
@@ -100,8 +104,8 @@ class RangeReachBase:
     subclass's ``query``:
 
     * :meth:`query_batch` — a correct default loop; SocReach, 3DReach,
-      3DReach-Rev and SpaReach override it with vectorized evaluations
-      that amortize index work across the batch;
+      3DReach-Rev and SpaReach override it to evaluate each distinct
+      work item once (:meth:`_batch_distinct`);
     * :meth:`execute` / :meth:`execute_many` — the
       :class:`QueryRequest`/:class:`QueryResult` protocol shared with
       :class:`~repro.system.database.GeosocialDatabase`.
@@ -109,8 +113,75 @@ class RangeReachBase:
 
     name = "rangereach"
 
+    #: Cross-method counters, bound by :meth:`_bind_counters`; the
+    #: extended engine never binds them and so emits none.
+    _m_queries = None
+
     def query(self, v: int, region: Rect) -> bool:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Construction helpers
+    # ------------------------------------------------------------------
+    def _build_context(
+        self,
+        network: CondensedNetwork,
+        context: BuildContext | None,
+        kernels: str | None,
+        labeling_key: tuple | None = None,
+        labeling=None,
+    ) -> BuildContext:
+        """Return the one :class:`BuildContext` this method builds through.
+
+        Also resolves ``self.kernels``.  An explicit ``labeling`` may not
+        match any key of a shared context, so it is seeded under
+        ``labeling_key`` into a private one — every artifact derived from
+        it (R-tree, slabs, kernels) then comes off the same context path
+        a context-built method takes.
+        """
+        if labeling is not None:
+            context = BuildContext(network, kernels=kernels)
+            context.seed_artifact(labeling_key, labeling)
+        elif context is None:
+            context = BuildContext(network, kernels=kernels)
+        self.kernels = (
+            context.kernels if kernels is None else resolve_backend(kernels)
+        )
+        return context
+
+    def _build_forward(
+        self,
+        network: CondensedNetwork,
+        labeling,
+        mode: str,
+        stride: int,
+        context: BuildContext | None,
+        kernels: str | None,
+    ) -> tuple[BuildContext, int]:
+        """:meth:`_build_context` for the forward-labeling methods.
+
+        Sets ``self._labeling`` and returns the context with the stride
+        to key further artifacts on: an explicit labeling carries its
+        own, the ``stride`` keyword only steers context builds.
+        """
+        if labeling is not None:
+            stride = labeling.stride
+        context = self._build_context(
+            network, context, kernels,
+            ("labeling", "forward", mode, stride), labeling,
+        )
+        self._labeling = context.labeling(mode=mode, stride=stride)
+        return context, stride
+
+    def _bind_counters(self) -> None:
+        """Resolve the four cross-method counters for ``self.name`` once,
+        so the query path is a bound ``Counter.inc``."""
+        self._m_queries = _inst.METHOD_QUERIES.labels(method=self.name)
+        self._m_positives = _inst.METHOD_POSITIVES.labels(method=self.name)
+        self._m_probes = _inst.METHOD_LABEL_PROBES.labels(method=self.name)
+        self._m_verified = _inst.METHOD_CANDIDATES_VERIFIED.labels(
+            method=self.name
+        )
 
     def query_batch(self, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
         """Answer a batch of ``(v, region)`` pairs.
@@ -123,6 +194,38 @@ class RangeReachBase:
             return []
         query = self.query
         return [query(v, region) for v, region in pairs]
+
+    def _batch_distinct(
+        self,
+        pairs: Sequence[tuple[int, Rect]],
+        evaluate: Callable[[int, Rect], bool],
+        z_of: Callable[[int], float] | None = None,
+    ) -> list[bool]:
+        """Run ``evaluate(source, region)`` once per distinct pair.
+
+        The answer is a pure function of ``(super-vertex, region)``, so
+        duplicated queries reuse the memoized answer.  With ``z_of`` the
+        distinct pairs run in ascending ``z_of(source)``: consecutive
+        3-D probes then touch neighbouring post-order heights.  Answers
+        come back aligned with ``pairs``.
+        """
+        super_of = self._network.super_of
+        keys = [(super_of(v), region.as_tuple()) for v, region in pairs]
+        unique: dict[tuple[int, tuple], Rect] = {}
+        for key, (_, region) in zip(keys, pairs):
+            unique.setdefault(key, region)
+        order = (
+            unique if z_of is None
+            else sorted(unique, key=lambda key: z_of(key[0]))
+        )
+        memo = {key: evaluate(key[0], unique[key]) for key in order}
+        answers = [memo[key] for key in keys]
+        if self._m_queries is not None and _obs_enabled():
+            # ``evaluate`` counted each distinct pair as one query; the
+            # duplicates it spared are queries (and positives) too.
+            self._m_queries.inc(len(keys) - len(memo))
+            self._m_positives.inc(sum(answers) - sum(memo.values()))
+        return answers
 
     # ------------------------------------------------------------------
     # Request-level protocol

@@ -23,29 +23,24 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.core.base import RangeReachBase
-from repro.core.deprecation import warn_deprecated
+from repro.core.threedreach import CuboidSweep
 from repro.geometry import Point, Rect, as_rect
-from repro.geosocial.columnar import build_post_slabs
 from repro.geosocial.scc_handling import CondensedNetwork
-from repro.kernels import (
-    make_label_kernel,
-    make_slab_kernel,
-    resolve_backend,
-)
 from repro.labeling import IntervalLabeling
 from repro.obs.trace import span as _span
 from repro.pipeline import BuildContext
-from repro.spatial import RTree
 
 
-class GeosocialQueryEngine(RangeReachBase):
+class GeosocialQueryEngine(CuboidSweep):
     """Answers the extended RangeReach query family over one network.
 
-    The boolean query speaks the same protocol as the method classes:
+    The boolean query speaks the same protocol as the method classes —
     :meth:`query` / :meth:`query_batch` /
-    :meth:`~repro.core.base.RangeReachBase.execute`.  The historical
-    :meth:`range_reach` name remains as a deprecated alias.
+    :meth:`~repro.core.base.RangeReachBase.execute` — and is 3DReach's
+    :class:`~repro.core.threedreach.CuboidSweep` evaluation (the slabs
+    index every member point, so existence matches the vertex R-tree).
+    Extended queries (count, witnesses, nearest) need vertex identities
+    and run on the R-tree under both kernel backends.
     """
 
     name = "engine"
@@ -60,56 +55,16 @@ class GeosocialQueryEngine(RangeReachBase):
         context: BuildContext | None = None,
         kernels: str | None = None,
     ) -> None:
-        self._network = network
-        if labeling is not None:
-            # An explicitly supplied labeling may not match any context
-            # key, so its R-tree is built locally (current behavior).
-            self._labeling = labeling
-            post = labeling.post
-            entries = (
-                ((p.x, p.y, post[c], p.x, p.y, post[c]), vertex)
-                for p, c, vertex in network.vertex_entries()
-            )
-            self._rtree = RTree.bulk_load(
-                entries, dims=3, capacity=rtree_capacity
-            )
-            self.kernels = resolve_backend(kernels)
-            if self.kernels == "numpy":
-                self._skernel = make_slab_kernel(
-                    "numpy",
-                    build_post_slabs(network, labeling),
-                    labeling.stride,
-                )
-                self._lkernel = make_label_kernel("numpy", labeling)
-            else:
-                self._skernel = None
-                self._lkernel = None
-        else:
-            if context is None:
-                context = BuildContext(network, kernels=kernels)
-            self.kernels = (
-                context.kernels if kernels is None else resolve_backend(kernels)
-            )
-            self._labeling = context.labeling(mode=mode, stride=stride)
-            self._rtree = context.vertex_rtree_3d(
-                mode=mode, stride=stride, capacity=rtree_capacity
-            )
-            # The numpy backend answers the boolean query with slab
-            # sweeps (the slabs index every member point, so existence
-            # matches the vertex R-tree) and batches ``reaches`` probes
-            # through the label kernel.  Extended queries (count,
-            # witnesses, nearest) need vertex identities and stay on the
-            # R-tree under both backends.
-            if self.kernels == "numpy":
-                self._skernel = context.slab_kernel(
-                    mode=mode, stride=stride, backend="numpy"
-                )
-                self._lkernel = context.label_kernel(
-                    mode=mode, stride=stride, backend="numpy"
-                )
-            else:
-                self._skernel = None
-                self._lkernel = None
+        context, stride = self._build_sweep(
+            network, labeling, mode, stride, context, kernels
+        )
+        self._rtree = context.vertex_rtree_3d(
+            mode=mode, stride=stride, capacity=rtree_capacity
+        )
+        # ``reaches_many`` batches its probes through the label kernel.
+        self._lkernel = context.label_kernel(
+            mode=mode, stride=stride, backend=self.kernels
+        )
 
     # ------------------------------------------------------------------
     def _cuboids(self, v: int, region: Rect):
@@ -119,71 +74,24 @@ class GeosocialQueryEngine(RangeReachBase):
 
     def query(self, v: int, region: Rect) -> bool:
         """The paper's boolean RangeReach query (3DReach evaluation)."""
-        region = as_rect(region)
+        if not isinstance(region, Rect):
+            # The database hands over a Rect on every read; only foreign
+            # forms pay for the coercion call.
+            region = as_rect(region)
         with _span("engine.query"):
-            if self._skernel is not None:
-                source = self._network.super_of(v)
-                any_in_zrange = self._skernel.any_in_zrange
-                for lo, hi in self._labeling.labels_of(source):
-                    if any_in_zrange(region, lo, hi):
-                        return True
-                return False
-            for cuboid in self._cuboids(v, region):
-                if self._rtree.any_intersecting(cuboid) is not None:
-                    return True
-            return False
+            return self._sweep(self._network.super_of(v), region)
 
     def query_batch(self, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
         """Batched boolean queries; distinct ``(source, region)`` pairs
-        evaluate once, sorted by first-label height to keep consecutive
-        cuboid descents in overlapping R-tree subtrees."""
+        evaluate once, in ascending first-label height."""
         if not pairs:
             return []
         with _span("engine.query_batch"):
-            super_of = self._network.super_of
-            labels_of = self._labeling.labels_of
-            rtree = self._rtree
-            resolved = [
-                (super_of(v), rect, rect.as_tuple())
-                for v, rect in ((v, as_rect(region)) for v, region in pairs)
-            ]
-            unique: dict[tuple[int, tuple], Rect] = {}
-            for source, region, rkey in resolved:
-                unique.setdefault((source, rkey), region)
-
-            def z_of(item: tuple[tuple[int, tuple], Rect]) -> float:
-                labels = labels_of(item[0][0])
-                return labels[0][0] if labels else -1.0
-
-            memo: dict[tuple[int, tuple], bool] = {}
-            sweep = (
-                self._skernel.any_in_zrange
-                if self._skernel is not None
-                else None
+            return self._batch_distinct(
+                [(v, as_rect(region)) for v, region in pairs],
+                self._sweep,
+                self._first_z,
             )
-            for (source, rkey), region in sorted(unique.items(), key=z_of):
-                answer = False
-                for lo, hi in labels_of(source):
-                    if sweep is not None:
-                        if sweep(region, lo, hi):
-                            answer = True
-                            break
-                        continue
-                    cuboid = (region.xlo, region.ylo, lo,
-                              region.xhi, region.yhi, hi)
-                    if rtree.any_intersecting(cuboid) is not None:
-                        answer = True
-                        break
-                memo[(source, rkey)] = answer
-            return [memo[(source, rkey)] for source, _, rkey in resolved]
-
-    def range_reach(self, v: int, region: Rect) -> bool:
-        """Deprecated alias of :meth:`query` (the pre-unification name)."""
-        warn_deprecated(
-            "GeosocialQueryEngine.range_reach is deprecated; "
-            "use query(v, region) — the unified RangeReach protocol name"
-        )
-        return self.query(v, region)
 
     def reaches(self, u: int, v: int) -> bool:
         """Vertex-to-vertex reachability over the snapshot (Lemma 3.1).
@@ -202,15 +110,12 @@ class GeosocialQueryEngine(RangeReachBase):
 
         Under the numpy backend the whole batch resolves with a single
         ``searchsorted`` over the source's sorted, disjoint labels; the
-        python backend runs the scalar probes.  Answers are identical.
+        python kernel runs the scalar probes.  Answers are identical.
         """
         super_of = self._network.super_of
-        su = super_of(u)
-        supers = [super_of(t) for t in targets]
-        if self._lkernel is not None:
-            return self._lkernel.covers_many(su, supers)
-        greach = self._labeling.greach
-        return [su == sv or greach(su, sv) for sv in supers]
+        return self._lkernel.covers_many(
+            super_of(u), [super_of(t) for t in targets]
+        )
 
     @property
     def num_vertices(self) -> int:

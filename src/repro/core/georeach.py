@@ -29,7 +29,6 @@ from repro.core.base import RangeReachBase, register_method
 from repro.geometry import Rect
 from repro.geosocial.scc_handling import CondensedNetwork
 from repro.graph.traversal import topological_order
-from repro.kernels import make_point_kernel, resolve_backend
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
 from repro.obs.trace import span as _span
@@ -200,7 +199,12 @@ def build_spa_graph(
 
 
 class GeoReach(RangeReachBase):
-    """The SPA-graph method, reimplemented from the paper's description."""
+    """The SPA-graph method, reimplemented from the paper's description.
+
+    ``kernels=`` is validated and exposed as ``.kernels`` but selects no
+    code here: member points are always verified with the columnar
+    ``Rect.first_contained`` scan.
+    """
 
     name = "georeach"
 
@@ -217,18 +221,9 @@ class GeoReach(RangeReachBase):
         # dominant build cost of a compare-all-methods run) and the
         # condensation's coordinate columns are context artifacts —
         # shared across instances and persisted by the snapshot store.
-        if context is not None:
-            self._columns = context.columns()
-            spa = context.spa_graph(self._params)
-            self.kernels = (
-                context.kernels if kernels is None else resolve_backend(kernels)
-            )
-            self._pkernel = context.point_kernel(backend=self.kernels)
-        else:
-            self._columns = network.columns()
-            spa = build_spa_graph(network, self._params)
-            self.kernels = resolve_backend(kernels)
-            self._pkernel = make_point_kernel(self.kernels, self._columns)
+        context = self._build_context(network, context, kernels)
+        self._columns = context.columns()
+        spa = context.spa_graph(self._params)
         self._m_queries = _inst.METHOD_QUERIES.labels(method=self.name)
         self._m_positives = _inst.METHOD_POSITIVES.labels(method=self.name)
         self._m_verified = _inst.METHOD_CANDIDATES_VERIFIED.labels(
@@ -255,10 +250,9 @@ class GeoReach(RangeReachBase):
         grid = self._grid
         vertex_class = self._class
         source = network.super_of(v)
-        offsets = self._columns.offsets
-        # Member-point verification routes through the point kernel;
-        # the python kernel is the verbatim columnar scan.
-        first_contained = self._pkernel.first_contained
+        columns = self._columns
+        offsets, xs, ys = columns.offsets, columns.xs, columns.ys
+        first_contained = region.first_contained
 
         expanded = 0
         pruned = 0
@@ -275,7 +269,7 @@ class GeoReach(RangeReachBase):
             # the member points are scanned as flat coordinate columns.
             lo, hi = offsets[u], offsets[u + 1]
             if hi > lo:
-                idx = first_contained(region, lo, hi)
+                idx = first_contained(xs, ys, lo, hi)
                 if idx >= 0:
                     point_tests += idx - lo + 1
                     answer = True

@@ -15,13 +15,12 @@ descendant scan is one flat-column slice instead of a per-slot walk over
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.base import RangeReachBase, register_method
 from repro.geometry import Rect
-from repro.geosocial.columnar import PostOrderSlabs, build_post_slabs
+from repro.geosocial.columnar import PostOrderSlabs
 from repro.geosocial.scc_handling import CondensedNetwork
-from repro.kernels import make_slab_kernel, resolve_backend
 from repro.labeling import IntervalLabeling
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
@@ -37,7 +36,8 @@ class SocReach(RangeReachBase):
 
     * ``"array"`` (default) — "simple for loops on the array storing the
       network vertices in main memory"; here backed by post-order-aligned
-      coordinate slabs, so each label scans one contiguous flat range;
+      coordinate slabs, so each label scans one contiguous flat range
+      through the slab kernel of the ``kernels=`` backend;
     * ``"bptree"`` — "a traditional B+-tree which indexes post(v)"; only
       spatial vertices are indexed, so sparse descendant sets skip the
       non-spatial majority entirely.
@@ -59,35 +59,12 @@ class SocReach(RangeReachBase):
             raise ValueError("descendant_access must be 'array' or 'bptree'")
         self._network = network
         self._access = descendant_access
+        context, stride = self._build_forward(
+            network, labeling, mode, stride, context, kernels
+        )
+        self._slabs: PostOrderSlabs | None = None
         self._skernel = None
-        if labeling is not None:
-            # An explicit labeling carries its own stride; the keyword
-            # only steers context builds.
-            self._labeling = labeling
-            self.kernels = resolve_backend(kernels)
-            slabs = None if descendant_access == "bptree" else build_post_slabs(
-                network, labeling
-            )
-            if slabs is not None:
-                self._skernel = make_slab_kernel(
-                    self.kernels, slabs, labeling.stride
-                )
-        else:
-            if context is None:
-                context = BuildContext(network, kernels=kernels)
-            self.kernels = (
-                context.kernels if kernels is None else resolve_backend(kernels)
-            )
-            self._labeling = context.labeling(mode=mode, stride=stride)
-            slabs = (
-                None
-                if descendant_access == "bptree"
-                else context.post_slabs(mode=mode, stride=stride)
-            )
-            if slabs is not None:
-                self._skernel = context.slab_kernel(
-                    mode=mode, stride=stride, backend=self.kernels
-                )
+        self._bptree = None
         if descendant_access == "bptree":
             from repro.relational import BPlusTree
 
@@ -103,68 +80,27 @@ class SocReach(RangeReachBase):
                 key=lambda pair: pair[0],
             )
             self._bptree = BPlusTree.from_sorted(pairs)
-            self._slabs: PostOrderSlabs | None = None
             self.name = "socreach-bptree"
         else:
-            self._bptree = None
-            self._slabs = slabs
-        self._m_queries = _inst.METHOD_QUERIES.labels(method=self.name)
-        self._m_positives = _inst.METHOD_POSITIVES.labels(method=self.name)
-        self._m_probes = _inst.METHOD_LABEL_PROBES.labels(method=self.name)
-        self._m_verified = _inst.METHOD_CANDIDATES_VERIFIED.labels(
-            method=self.name
-        )
+            self._slabs = context.post_slabs(mode=mode, stride=stride)
+            self._skernel = context.slab_kernel(
+                mode=mode, stride=stride, backend=self.kernels
+            )
+        self._bind_counters()
         self._m_scanned = _inst.SOCREACH_DESCENDANTS.labels(method=self.name)
 
     # ------------------------------------------------------------------
-    def _slot_ranges(self, source: int) -> Iterator[tuple[int, int]]:
-        """Yield each label's inclusive 1-based slot range ``(start, end)``.
-
-        With a gapped numbering (stride > 1) a label may cover no whole
-        slot at all; such labels yield ``end < start`` and still count as
-        probed — callers skip the scan but not the tally.
-        """
-        stride = self._labeling.stride
-        for lo, hi in self._labeling.labels_of(source):
-            yield (lo + stride - 1) // stride, hi // stride
-
     def query(self, v: int, region: Rect) -> bool:
-        # Dual path: the descendant scan is the whole cost of SocReach,
-        # so the disabled-observability path must not even keep local
-        # tallies — it runs the plain loops below.
         with _span(f"{self.name}.query"):
-            if _obs_enabled():
-                return self._query_counted(v, region)
-            return self._query_plain(v, region)
+            return self._scan(self._network.super_of(v), region)
 
-    def _query_plain(self, v: int, region: Rect) -> bool:
-        source = self._network.super_of(v)
-        # Every label [l, h] is a range query over post-order numbers
-        # (the D(v) equation in Section 4.1); scan the range and test
-        # each spatial descendant's points until a witness appears.
-        if self._access == "bptree":
-            contains = region.contains_point
-            scan = self._bptree.range_scan
-            for lo, hi in self._labeling.labels_of(source):
-                for _, points in scan(lo, hi):
-                    for point in points:
-                        if contains(point):
-                            return True
-            return False
-        offsets = self._slabs.offsets
-        # Both backends route through the slab kernel; the python kernel
-        # is the verbatim ``Rect.any_contained`` scan.
-        any_in_flat = self._skernel.any_in_flat
-        for start, end in self._slot_ranges(source):
-            if end < start:
-                continue
-            if any_in_flat(region, offsets[start - 1], offsets[end]):
-                return True
-        return False
+    def _scan(self, source: int, region: Rect) -> bool:
+        """Scan ``D(source)`` label by label until a witness appears.
 
-    def _query_counted(self, v: int, region: Rect) -> bool:
-        """Same scan as :meth:`_query_plain`, with work tallies."""
-        source = self._network.super_of(v)
+        Every label ``[l, h]`` is a range query over post-order numbers
+        (the D(v) equation in Section 4.1): scan the range and test each
+        spatial descendant's points.
+        """
         scanned = 0
         labels_probed = 0
         containment_tests = 0
@@ -187,13 +123,20 @@ class SocReach(RangeReachBase):
                     break
         else:
             offsets = self._slabs.offsets
+            stride = self._labeling.stride
             first_in_flat = self._skernel.first_in_flat
-            for start, end in self._slot_ranges(source):
+            for lo, hi in self._labeling.labels_of(source):
                 labels_probed += 1
+                # The whole slots the label covers (1-based, inclusive);
+                # with a gapped numbering (stride > 1) it may cover none,
+                # and still counts as probed.
+                start, end = (lo + stride - 1) // stride, hi // stride
                 if end < start:
                     continue
                 a, b = offsets[start - 1], offsets[end]
-                idx = first_in_flat(region, a, b)
+                # Non-spatial descendants own zero-width slabs: a label
+                # covering only those misses without a kernel call.
+                idx = first_in_flat(region, a, b) if b > a else -1
                 if idx < 0:
                     # A miss visits every slot of the label and tests
                     # every point in its flat range.
@@ -201,107 +144,33 @@ class SocReach(RangeReachBase):
                     containment_tests += b - a
                 else:
                     # Recover the slot owning the hit point so the tallies
-                    # match the per-slot scan: slots up to and including
-                    # the hit slot, points up to and including the hit.
-                    hit_slot = bisect_right(offsets, idx) - 1
-                    scanned += hit_slot - (start - 1) + 1
+                    # match a per-slot scan: slots up to and including the
+                    # hit slot, points up to and including the hit.
+                    scanned += bisect_right(offsets, idx) - start + 1
                     containment_tests += idx - a + 1
                     answer = True
                     break
-        self._m_queries.inc()
-        if answer:
-            self._m_positives.inc()
-        self._m_probes.inc(labels_probed)
-        self._m_verified.inc(containment_tests)
-        self._m_scanned.inc(scanned)
+        if _obs_enabled():
+            self._m_queries.inc()
+            if answer:
+                self._m_positives.inc()
+            self._m_probes.inc(labels_probed)
+            self._m_verified.inc(containment_tests)
+            self._m_scanned.inc(scanned)
         return answer
 
     # ------------------------------------------------------------------
     def query_batch(self, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
-        """Answer many queries in one pass over the coordinate columns.
+        """Answer many queries, scanning each distinct pair once.
 
-        The columnar slabs make batching pay: each distinct query source
-        resolves its sorted slot ranges **once** (adjacent labels coalesce
-        into one flat range), and each distinct ``(source, region)`` pair
-        scans the shared x/y arrays once — duplicated queries in the
-        batch reuse the memoized answer.  Vertices with no labels answer
-        FALSE without touching the slabs at all.
+        Duplicated ``(source, region)`` queries in the batch reuse the
+        memoized answer; vertices with no labels answer FALSE without
+        touching the slabs at all.
         """
         if not pairs:
             return []
         with _span(f"{self.name}.query_batch"):
-            super_of = self._network.super_of
-            resolved = [(super_of(v), region) for v, region in pairs]
-            if self._access == "bptree":
-                answers = self._batch_bptree(resolved)
-            else:
-                answers = self._batch_array(resolved)
-            if _obs_enabled():
-                self._m_queries.inc(len(pairs))
-                self._m_positives.inc(sum(answers))
-            return answers
-
-    def _flat_ranges(self, source: int) -> tuple[tuple[int, int], ...]:
-        """The source's flat column ranges, adjacent labels coalesced."""
-        offsets = self._slabs.offsets
-        flat: list[tuple[int, int]] = []
-        for start, end in self._slot_ranges(source):
-            if end < start:
-                continue
-            a, b = offsets[start - 1], offsets[end]
-            if b <= a:
-                continue
-            if flat and flat[-1][1] == a:
-                flat[-1] = (flat[-1][0], b)
-            else:
-                flat.append((a, b))
-        return tuple(flat)
-
-    def _batch_array(
-        self, resolved: list[tuple[int, Rect]]
-    ) -> list[bool]:
-        any_in_flat = self._skernel.any_in_flat
-        ranges_of: dict[int, tuple[tuple[int, int], ...]] = {}
-        memo: dict[tuple[int, tuple], bool] = {}
-        answers: list[bool] = []
-        for source, region in resolved:
-            key = (source, region.as_tuple())
-            answer = memo.get(key)
-            if answer is None:
-                ranges = ranges_of.get(source)
-                if ranges is None:
-                    ranges = ranges_of[source] = self._flat_ranges(source)
-                answer = False
-                for a, b in ranges:
-                    if any_in_flat(region, a, b):
-                        answer = True
-                        break
-                memo[key] = answer
-            answers.append(answer)
-        return answers
-
-    def _batch_bptree(
-        self, resolved: list[tuple[int, Rect]]
-    ) -> list[bool]:
-        scan = self._bptree.range_scan
-        memo: dict[tuple[int, tuple], bool] = {}
-        answers: list[bool] = []
-        for source, region in resolved:
-            key = (source, region.as_tuple())
-            answer = memo.get(key)
-            if answer is None:
-                contains = region.contains_point
-                answer = False
-                for lo, hi in self._labeling.labels_of(source):
-                    for _, points in scan(lo, hi):
-                        if any(contains(point) for point in points):
-                            answer = True
-                            break
-                    if answer:
-                        break
-                memo[key] = answer
-            answers.append(answer)
-        return answers
+            return self._batch_distinct(pairs, self._scan)
 
     def count_descendants(self, v: int) -> int:
         """Return ``|D(v)|`` for the query vertex (diagnostics/benchmarks)."""

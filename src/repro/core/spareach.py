@@ -20,7 +20,6 @@ from repro.obs.metrics import enabled as _obs_enabled
 from repro.obs.trace import span as _span
 from repro.geosocial.scc_handling import SCC_MODES, CondensedNetwork, SccMode
 from repro.graph.digraph import DiGraph
-from repro.kernels import make_bfl_kernel, resolve_backend
 from repro.reach import (
     BflReach,
     BfsReach,
@@ -72,6 +71,9 @@ class SpaReach(RangeReachBase):
             SpaReach variants draw the same bulk-load feed and R-tree from
             it, and SpaReach-INT shares the context's forward interval
             labeling with SocReach/3DReach.
+        kernels: validated and exposed as ``.kernels``; selects no code
+            here — SpaReach always runs the R-tree range query and the
+            scalar, early-exit series of ``GReach`` tests.
     """
 
     def __init__(
@@ -87,11 +89,7 @@ class SpaReach(RangeReachBase):
     ) -> None:
         if scc_mode not in SCC_MODES:
             raise ValueError(f"scc_mode must be one of {SCC_MODES}")
-        if context is None:
-            context = BuildContext(network, kernels=kernels)
-        self.kernels = (
-            context.kernels if kernels is None else resolve_backend(kernels)
-        )
+        context = self._build_context(network, context, kernels)
         if isinstance(reach_index, str):
             try:
                 factory = _REACH_FACTORIES[reach_index]
@@ -162,110 +160,71 @@ class SpaReach(RangeReachBase):
             else:
                 self._rtree = UniformGridIndex.bulk_load(entries, extent)
 
-        # Candidate verification routes through the point kernel (the
-        # python kernel is the verbatim columnar scan); the batched BFL
-        # kernel answers whole candidate lists when the reachability
-        # index is BFL and the backend is numpy.
-        self._pkernel = context.point_kernel(backend=self.kernels)
-        if self.kernels == "numpy" and isinstance(self._reach, BflReach):
-            if reach_index == "bfl":
-                self._bkernel = context.bfl_kernel(backend="numpy")
-            else:
-                self._bkernel = make_bfl_kernel("numpy", self._reach)
-        else:
-            self._bkernel = None
-
-        # Per-method work counters (the two cost drivers the paper's
-        # analysis discusses), resolved once so the query path is a
-        # bound Counter.inc.
-        self._m_queries = _inst.METHOD_QUERIES.labels(method=self.name)
-        self._m_positives = _inst.METHOD_POSITIVES.labels(method=self.name)
-        self._m_probes = _inst.METHOD_LABEL_PROBES.labels(method=self.name)
-        self._m_verified = _inst.METHOD_CANDIDATES_VERIFIED.labels(
-            method=self.name
-        )
+        self._bind_counters()
         self._m_candidates = _inst.SPAREACH_CANDIDATES.labels(method=self.name)
 
     # ------------------------------------------------------------------
     def query(self, v: int, region: Rect) -> bool:
         with _span(f"{self.name}.query"):
-            network = self._network
-            source = network.super_of(v)
-            query_bounds = (region.xlo, region.ylo, region.xhi, region.yhi)
-            reaches = self._reach.reaches
-            candidates_seen = 0
-            reach_tests = 0
-            verified = 0
-            answer = False
+            bounds = region.as_tuple()
             if self._streaming:
-                candidates = self._rtree.search(query_bounds)
-                counted_upfront = False
+                candidates, seen = self._rtree.search(bounds), None
             else:
                 # Faithful SpaReach: evaluate SRange(P, R) in full, *then*
                 # run the series of GReach tests (Section 2.2.1).
-                candidates = self._rtree.search_all(query_bounds)
-                candidates_seen = len(candidates)
-                counted_upfront = True
-            if self._bkernel is not None and counted_upfront:
-                # Batched BFL path: one vectorized interval + filter pass
-                # over the whole (deduplicated, MBR-verified) candidate
-                # list; survivors fall back to the pruned DFS inside the
-                # kernel.  Same answer as the scalar series of GReach
-                # tests — without the early exit, so the probe tally is
-                # the full candidate count.
-                distinct = list(dict.fromkeys(candidates))
-                if self._scc_mode == "mbr":
-                    verified = len(distinct)
-                    distinct = [
-                        c
-                        for c in distinct
-                        if self._pkernel.component_hits_region(
-                            network, c, region
-                        )
-                    ]
-                    reach_tests = len(distinct)
-                else:
-                    reach_tests = len(distinct)
-                    verified = reach_tests
-                answer = self._bkernel.any_reaches(source, distinct)
-            elif self._scc_mode == "replicate":
-                # Candidates arrive per point; distinct points of one SCC
-                # map to the same super-vertex, so memoise the outcome.
-                tested: set[int] = set()
-                for component in candidates:
-                    if not counted_upfront:
-                        candidates_seen += 1
-                    if component in tested:
-                        continue
-                    tested.add(component)
-                    reach_tests += 1
-                    verified += 1
-                    if reaches(source, component):
-                        answer = True
-                        break
-            else:
-                # MBR mode: an intersecting MBR does not prove a member
-                # point lies inside the region, so candidates are
-                # spatially verified before the GReach test.
-                for component in candidates:
-                    if not counted_upfront:
-                        candidates_seen += 1
-                    verified += 1
-                    if self._pkernel.component_hits_region(
-                        network, component, region
-                    ):
-                        reach_tests += 1
-                        if reaches(source, component):
-                            answer = True
-                            break
-            if _obs_enabled():
-                self._m_queries.inc()
-                if answer:
-                    self._m_positives.inc()
-                self._m_candidates.inc(candidates_seen)
-                self._m_probes.inc(reach_tests)
-                self._m_verified.inc(verified)
-            return answer
+                candidates = self._rtree.search_all(bounds)
+                seen = len(candidates)
+            return self._greach_series(
+                self._network.super_of(v), region, candidates, seen,
+                self._scc_mode == "mbr",
+            )
+
+    def _greach_series(
+        self,
+        source: int,
+        region: Rect,
+        candidates,
+        seen: int | None,
+        verify: bool,
+    ) -> bool:
+        """One ``GReach`` test per distinct candidate until one succeeds.
+
+        ``seen`` is the SRange result size this query is charged with
+        (``None``: count the candidates as the stream is consumed).
+        ``verify`` says whether the candidates still need the MBR-mode
+        spatial verification — an intersecting MBR does not prove a
+        member point lies inside the region.
+        """
+        reaches = self._reach.reaches
+        hits_region = self._network.component_hits_region
+        consumed = reach_tests = verified = 0
+        answer = False
+        # Candidates arrive per point; distinct points of one SCC map to
+        # the same super-vertex, so each is tested once.
+        tested: set[int] = set()
+        for component in candidates:
+            consumed += 1
+            if component in tested:
+                continue
+            tested.add(component)
+            if verify:
+                verified += 1
+                if not hits_region(component, region):
+                    continue
+            reach_tests += 1
+            if reaches(source, component):
+                answer = True
+                break
+        if _obs_enabled():
+            self._m_queries.inc()
+            if answer:
+                self._m_positives.inc()
+            self._m_candidates.inc(consumed if seen is None else seen)
+            self._m_probes.inc(reach_tests)
+            self._m_verified.inc(
+                verified if self._scc_mode == "mbr" else reach_tests
+            )
+        return answer
 
     # ------------------------------------------------------------------
     def query_batch(self, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
@@ -286,62 +245,33 @@ class SpaReach(RangeReachBase):
         if not pairs:
             return []
         with _span(f"{self.name}.query_batch"):
-            network = self._network
-            super_of = network.super_of
-            reaches = self._reach.reaches
+            hits_region = self._network.component_hits_region
             mbr_mode = self._scc_mode == "mbr"
-            resolved = [
-                (super_of(v), region, region.as_tuple())
-                for v, region in pairs
-            ]
             # One SRange (plus MBR-mode spatial verification) per region.
             candidates_of: dict[tuple, list[int]] = {}
             candidates_seen = 0
             verified = 0
-            for _, region, rkey in resolved:
-                if rkey in candidates_of:
-                    continue
-                raw = self._rtree.search_all(rkey)
-                candidates_seen += len(raw)
-                distinct = list(dict.fromkeys(raw))
-                if mbr_mode:
-                    verified += len(distinct)
-                    distinct = [
-                        c for c in distinct
-                        if self._pkernel.component_hits_region(
-                            network, c, region
-                        )
-                    ]
-                candidates_of[rkey] = distinct
-            memo: dict[tuple[int, tuple], bool] = {}
-            reach_tests = 0
-            any_reaches = (
-                self._bkernel.any_reaches if self._bkernel is not None else None
-            )
-            answers: list[bool] = []
-            for source, _, rkey in resolved:
-                key = (source, rkey)
-                answer = memo.get(key)
-                if answer is None:
-                    if any_reaches is not None:
-                        components = candidates_of[rkey]
-                        reach_tests += len(components)
-                        answer = any_reaches(source, components)
-                    else:
-                        answer = False
-                        for component in candidates_of[rkey]:
-                            reach_tests += 1
-                            if reaches(source, component):
-                                answer = True
-                                break
-                    memo[key] = answer
-                answers.append(answer)
+
+            def series(source: int, region: Rect) -> bool:
+                nonlocal candidates_seen, verified
+                rkey = region.as_tuple()
+                distinct = candidates_of.get(rkey)
+                if distinct is None:
+                    raw = self._rtree.search_all(rkey)
+                    candidates_seen += len(raw)
+                    distinct = list(dict.fromkeys(raw))
+                    if mbr_mode:
+                        verified += len(distinct)
+                        distinct = [
+                            c for c in distinct if hits_region(c, region)
+                        ]
+                    candidates_of[rkey] = distinct
+                return self._greach_series(source, region, distinct, 0, False)
+
+            answers = self._batch_distinct(pairs, series)
             if _obs_enabled():
-                self._m_queries.inc(len(pairs))
-                self._m_positives.inc(sum(answers))
                 self._m_candidates.inc(candidates_seen)
-                self._m_probes.inc(reach_tests)
-                self._m_verified.inc(verified if mbr_mode else reach_tests)
+                self._m_verified.inc(verified)
             return answers
 
     # ------------------------------------------------------------------

@@ -15,9 +15,7 @@ from typing import Sequence
 
 from repro.core.base import RangeReachBase, register_method
 from repro.geometry import Rect
-from repro.geosocial.columnar import build_post_slabs
 from repro.geosocial.scc_handling import SCC_MODES, CondensedNetwork, SccMode
-from repro.kernels import make_slab_kernel, resolve_backend
 from repro.labeling import IntervalLabeling
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
@@ -26,8 +24,69 @@ from repro.pipeline import BuildContext
 from repro.spatial import RTree
 
 
-class ThreeDReach(RangeReachBase):
-    """Point-based 3DReach over a 3-D R-tree."""
+class CuboidSweep(RangeReachBase):
+    """The 3DReach evaluation: one cuboid per label of ``L(v)``.
+
+    Shared by :class:`ThreeDReach` and the extended
+    :class:`~repro.core.GeosocialQueryEngine`, whose boolean query is the
+    same loop over the same labels.  Each cuboid ``R x [lo, hi]`` is
+    answered by the slab kernel of the ``kernels=`` backend: the indexed
+    ``(x, y, post)`` points ordered by ``post`` are exactly the
+    post-order slabs, so the cuboid holds a point iff the slab sweep
+    over ``[lo, hi]`` hits ``R`` — in both SCC modes the witness is a
+    member point.
+    """
+
+    def _build_sweep(
+        self,
+        network: CondensedNetwork,
+        labeling: IntervalLabeling | None,
+        mode: str,
+        stride: int,
+        context: BuildContext | None,
+        kernels: str | None,
+    ) -> tuple[BuildContext, int]:
+        """Set the labeling and slab kernel; the subclass adds its R-tree."""
+        self._network = network
+        context, stride = self._build_forward(
+            network, labeling, mode, stride, context, kernels
+        )
+        self._skernel = context.slab_kernel(
+            mode=mode, stride=stride, backend=self.kernels
+        )
+        return context, stride
+
+    def _sweep(self, source: int, region: Rect) -> bool:
+        any_in_zrange = self._skernel.any_in_zrange
+        cuboids = 0
+        answer = False
+        for lo, hi in self._labeling.labels_of(source):
+            cuboids += 1
+            if any_in_zrange(region, lo, hi):
+                answer = True
+                break
+        if self._m_queries is not None and _obs_enabled():
+            self._m_queries.inc()
+            if answer:
+                self._m_positives.inc()
+            # One cuboid per interval label probed (up to early exit).
+            self._m_probes.inc(cuboids)
+            _inst.THREEDREACH_CUBOIDS.inc(cuboids)
+        return answer
+
+    def _first_z(self, source: int) -> float:
+        """Batch order: the height of the source's first cuboid."""
+        labels = self._labeling.labels_of(source)
+        return labels[0][0] if labels else -1.0
+
+
+class ThreeDReach(CuboidSweep):
+    """Point-based 3DReach over a 3-D R-tree.
+
+    The R-tree over the ``(x, y, post)`` points is the paper's index —
+    built, sized (Table 4) and exposed as :attr:`rtree` — while queries
+    take the :class:`CuboidSweep` path over the same points.
+    """
 
     def __init__(
         self,
@@ -42,222 +101,32 @@ class ThreeDReach(RangeReachBase):
     ) -> None:
         if scc_mode not in SCC_MODES:
             raise ValueError(f"scc_mode must be one of {SCC_MODES}")
-        self._network = network
         self._scc_mode = scc_mode
         self.name = "3dreach" if scc_mode == "replicate" else "3dreach-mbr"
-        self._m_queries = _inst.METHOD_QUERIES.labels(method=self.name)
-        self._m_positives = _inst.METHOD_POSITIVES.labels(method=self.name)
-        self._m_probes = _inst.METHOD_LABEL_PROBES.labels(method=self.name)
-        self._m_verified = _inst.METHOD_CANDIDATES_VERIFIED.labels(
-            method=self.name
+        context, stride = self._build_sweep(
+            network, labeling, mode, stride, context, kernels
         )
-        if labeling is not None:
-            # An explicitly supplied labeling may not match any context
-            # key, so its R-tree is built locally (current behavior).
-            self._labeling = labeling
-            post = labeling.post
-            if scc_mode == "replicate":
-                # One 3-D point per member point of each spatial
-                # super-vertex.
-                entries = (
-                    ((p.x, p.y, post[c], p.x, p.y, post[c]), c)
-                    for p, c in network.replicate_entries()
-                )
-            else:
-                # One flat 3-D box per spatial super-vertex: the member
-                # MBR at height post(c).
-                entries = (
-                    ((m.xlo, m.ylo, post[c], m.xhi, m.yhi, post[c]), c)
-                    for m, c in network.mbr_entries()
-                )
-            self._rtree = RTree.bulk_load(
-                entries, dims=3, capacity=rtree_capacity
-            )
-            self.kernels = resolve_backend(kernels)
-            self._skernel = (
-                make_slab_kernel(
-                    "numpy",
-                    build_post_slabs(network, labeling),
-                    labeling.stride,
-                )
-                if self.kernels == "numpy"
-                else None
-            )
-        else:
-            if context is None:
-                context = BuildContext(network, kernels=kernels)
-            self.kernels = (
-                context.kernels if kernels is None else resolve_backend(kernels)
-            )
-            self._labeling = context.labeling(mode=mode, stride=stride)
-            self._rtree = context.point_rtree_3d(
-                scc_mode, mode=mode, stride=stride, capacity=rtree_capacity
-            )
-            # The numpy backend answers each cuboid with one slab sweep
-            # (identical slot arithmetic to SocReach); python keeps the
-            # R-tree descent as the oracle path.
-            self._skernel = (
-                context.slab_kernel(mode=mode, stride=stride, backend="numpy")
-                if self.kernels == "numpy"
-                else None
-            )
+        self._rtree = context.point_rtree_3d(
+            scc_mode, mode=mode, stride=stride, capacity=rtree_capacity
+        )
+        self._bind_counters()
 
     # ------------------------------------------------------------------
     def query(self, v: int, region: Rect) -> bool:
-        # Dual path (like the R-tree): 3DReach queries run in ~10us, so
-        # even local tallies show up; the disabled path is the plain loop.
         with _span(f"{self.name}.query"):
-            if _obs_enabled():
-                return self._query_counted(v, region)
-            return self._query_plain(v, region)
+            return self._sweep(self._network.super_of(v), region)
 
-    def _query_plain(self, v: int, region: Rect) -> bool:
-        network = self._network
-        source = network.super_of(v)
-        rtree = self._rtree
-        if self._skernel is not None:
-            # Each cuboid (R x [lo, hi]) contains an indexed point iff
-            # the post-order slab sweep over the same z-range hits R —
-            # in both SCC modes the witness is a member point.
-            any_in_zrange = self._skernel.any_in_zrange
-            for lo, hi in self._labeling.labels_of(source):
-                if any_in_zrange(region, lo, hi):
-                    return True
-            return False
-        if self._scc_mode == "replicate":
-            # One cuboid per label; the first contained point wins.
-            for lo, hi in self._labeling.labels_of(source):
-                cuboid = (region.xlo, region.ylo, lo,
-                          region.xhi, region.yhi, hi)
-                if rtree.any_intersecting(cuboid) is not None:
-                    return True
-            return False
-        # MBR mode: an intersecting box only proves the super-vertex
-        # is reachable and its MBR overlaps R; verify member points.
-        for lo, hi in self._labeling.labels_of(source):
-            cuboid = (region.xlo, region.ylo, lo,
-                      region.xhi, region.yhi, hi)
-            for component in rtree.search(cuboid):
-                if network.component_hits_region(component, region):
-                    return True
-        return False
-
-    def _query_counted(self, v: int, region: Rect) -> bool:
-        """Same evaluation as :meth:`_query_plain`, with work tallies."""
-        network = self._network
-        source = network.super_of(v)
-        rtree = self._rtree
-        cuboids = 0
-        verified = 0
-        answer = False
-        if self._skernel is not None:
-            any_in_zrange = self._skernel.any_in_zrange
-            for lo, hi in self._labeling.labels_of(source):
-                cuboids += 1
-                if any_in_zrange(region, lo, hi):
-                    answer = True
-                    break
-        elif self._scc_mode == "replicate":
-            for lo, hi in self._labeling.labels_of(source):
-                cuboids += 1
-                cuboid = (region.xlo, region.ylo, lo,
-                          region.xhi, region.yhi, hi)
-                if rtree.any_intersecting(cuboid) is not None:
-                    answer = True
-                    break
-        else:
-            for lo, hi in self._labeling.labels_of(source):
-                cuboids += 1
-                cuboid = (region.xlo, region.ylo, lo,
-                          region.xhi, region.yhi, hi)
-                for component in rtree.search(cuboid):
-                    verified += 1
-                    if network.component_hits_region(component, region):
-                        answer = True
-                        break
-                if answer:
-                    break
-        self._m_queries.inc()
-        if answer:
-            self._m_positives.inc()
-        # One cuboid per interval label probed (up to early exit).
-        self._m_probes.inc(cuboids)
-        self._m_verified.inc(verified)
-        _inst.THREEDREACH_CUBOIDS.inc(cuboids)
-        return answer
-
-    # ------------------------------------------------------------------
     def query_batch(self, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
-        """Answer many queries with shared, z-ordered R-tree descents.
+        """Answer many queries, one z-ordered sweep per distinct pair.
 
-        Distinct ``(source, region)`` work items are evaluated once (the
-        answer is a pure function of that pair) in ascending order of the
-        source's first label ``z``-extent, so consecutive cuboid queries
-        descend overlapping R-tree subtrees while those nodes are hot.
-        Sources with no labels answer FALSE without touching the R-tree.
+        Distinct ``(source, region)`` work items are evaluated once, in
+        ascending order of the source's first label ``z``-extent; sources
+        with no labels answer FALSE without touching the slabs.
         """
         if not pairs:
             return []
         with _span(f"{self.name}.query_batch"):
-            network = self._network
-            super_of = network.super_of
-            labels_of = self._labeling.labels_of
-            rtree = self._rtree
-            resolved = [
-                (super_of(v), region, region.as_tuple())
-                for v, region in pairs
-            ]
-            unique: dict[tuple[int, tuple], Rect] = {}
-            for source, region, rkey in resolved:
-                unique.setdefault((source, rkey), region)
-
-            def z_of(item: tuple[tuple[int, tuple], Rect]) -> float:
-                labels = labels_of(item[0][0])
-                return labels[0][0] if labels else -1.0
-
-            memo: dict[tuple[int, tuple], bool] = {}
-            cuboids = 0
-            verified = 0
-            replicate = self._scc_mode == "replicate"
-            sweep = (
-                self._skernel.any_in_zrange if self._skernel is not None else None
-            )
-            for (source, rkey), region in sorted(
-                unique.items(), key=z_of
-            ):
-                answer = False
-                for lo, hi in labels_of(source):
-                    cuboids += 1
-                    if sweep is not None:
-                        if sweep(region, lo, hi):
-                            answer = True
-                        if answer:
-                            break
-                        continue
-                    cuboid = (region.xlo, region.ylo, lo,
-                              region.xhi, region.yhi, hi)
-                    if replicate:
-                        if rtree.any_intersecting(cuboid) is not None:
-                            answer = True
-                    else:
-                        for component in rtree.search(cuboid):
-                            verified += 1
-                            if network.component_hits_region(
-                                component, region
-                            ):
-                                answer = True
-                                break
-                    if answer:
-                        break
-                memo[(source, rkey)] = answer
-            answers = [memo[(source, rkey)] for source, _, rkey in resolved]
-            if _obs_enabled():
-                self._m_queries.inc(len(pairs))
-                self._m_positives.inc(sum(answers))
-                self._m_probes.inc(cuboids)
-                self._m_verified.inc(verified)
-                _inst.THREEDREACH_CUBOIDS.inc(cuboids)
-            return answers
+            return self._batch_distinct(pairs, self._sweep, self._first_z)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

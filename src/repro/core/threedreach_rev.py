@@ -14,10 +14,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.base import RangeReachBase, register_method
-from repro.core.deprecation import warn_deprecated
 from repro.geometry import Rect
 from repro.geosocial.scc_handling import SCC_MODES, CondensedNetwork, SccMode
-from repro.kernels import make_segment_kernel, resolve_backend
 from repro.labeling import IntervalLabeling
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
@@ -29,10 +27,10 @@ from repro.spatial import RTree
 class ThreeDReachRev(RangeReachBase):
     """Line-based 3DReach over the reversed labeling.
 
-    The labeling argument uses the canonical ``labeling=`` keyword shared
-    by every method class; ``reversed_labeling=`` is accepted as a
-    deprecated alias (the value was always the reversed labeling — the
-    class name already says so).
+    ``labeling=`` takes the *reversed* labeling (the canonical keyword
+    shared by every method class).  Every query is one slab query on the
+    3-D segment R-tree under both kernel backends: ``kernels=`` is
+    validated and exposed as ``.kernels`` but selects no code here.
     """
 
     def __init__(
@@ -43,115 +41,57 @@ class ThreeDReachRev(RangeReachBase):
         mode: str = "subtree",
         rtree_capacity: int = 16,
         context: BuildContext | None = None,
-        reversed_labeling: IntervalLabeling | None = None,
         kernels: str | None = None,
     ) -> None:
         if scc_mode not in SCC_MODES:
             raise ValueError(f"scc_mode must be one of {SCC_MODES}")
-        if reversed_labeling is not None:
-            if labeling is not None:
-                raise TypeError(
-                    "pass labeling= or reversed_labeling=, not both"
-                )
-            warn_deprecated(
-                "ThreeDReachRev(reversed_labeling=...) is deprecated; "
-                "use the canonical labeling= keyword"
-            )
-            labeling = reversed_labeling
         self._network = network
         self._scc_mode = scc_mode
         self.name = "3dreach-rev" if scc_mode == "replicate" else "3dreach-rev-mbr"
-        self._m_queries = _inst.METHOD_QUERIES.labels(method=self.name)
-        self._m_positives = _inst.METHOD_POSITIVES.labels(method=self.name)
-        self._m_probes = _inst.METHOD_LABEL_PROBES.labels(method=self.name)
-        self._m_verified = _inst.METHOD_CANDIDATES_VERIFIED.labels(
-            method=self.name
+        context = self._build_context(
+            network, context, kernels,
+            ("labeling", "reversed", mode, 1), labeling,
         )
-        if labeling is not None:
-            # An explicitly supplied labeling may not match any context
-            # key, so its R-tree is built locally (current behavior).
-            self._labeling = labeling
-            labels = labeling.labels
-
-            def entries():
-                if self._scc_mode == "replicate":
-                    for point, component in network.replicate_entries():
-                        for lo, hi in labels[component]:
-                            yield (
-                                (point.x, point.y, lo, point.x, point.y, hi),
-                                component,
-                            )
-                else:
-                    for mbr, component in network.mbr_entries():
-                        for lo, hi in labels[component]:
-                            yield (
-                                (mbr.xlo, mbr.ylo, lo, mbr.xhi, mbr.yhi, hi),
-                                component,
-                            )
-
-            self._rtree = RTree.bulk_load(
-                entries(), dims=3, capacity=rtree_capacity
-            )
-            self.kernels = resolve_backend(kernels)
-            self._gkernel = (
-                make_segment_kernel("numpy", network, labeling)
-                if self.kernels == "numpy"
-                else None
-            )
-        else:
-            if context is None:
-                context = BuildContext(network, kernels=kernels)
-            self.kernels = (
-                context.kernels if kernels is None else resolve_backend(kernels)
-            )
-            self._labeling = context.reversed_labeling(mode=mode)
-            self._rtree = context.segment_rtree_3d(
-                scc_mode, mode=mode, capacity=rtree_capacity
-            )
-            # The numpy backend sweeps the flattened (point, label)
-            # segment columns; since a slab hit in either SCC mode is
-            # witnessed by a member point, one replicate-shaped kernel
-            # answers both.  Python keeps the R-tree as the oracle.
-            self._gkernel = (
-                context.segment_kernel(mode=mode, backend="numpy")
-                if self.kernels == "numpy"
-                else None
-            )
+        self._labeling = context.reversed_labeling(mode=mode)
+        self._rtree = context.segment_rtree_3d(
+            scc_mode, mode=mode, capacity=rtree_capacity
+        )
+        self._bind_counters()
 
     # ------------------------------------------------------------------
     def query(self, v: int, region: Rect) -> bool:
         with _span(f"{self.name}.query"):
-            network = self._network
-            source = network.super_of(v)
-            z = float(self._labeling.post_of(source))
-            slab = (region.xlo, region.ylo, z, region.xhi, region.yhi, z)
-            verified = 0
-            if self._gkernel is not None:
-                answer = self._gkernel.any_at(
-                    region, self._labeling.post_of(source)
-                )
-            elif self._scc_mode == "replicate":
-                # Segments are degenerate in x/y, so box intersection with
-                # the slab is exact: any hit is a witness.
-                answer = self._rtree.any_intersecting(slab) is not None
-            else:
-                answer = False
-                for component in self._rtree.search(slab):
-                    verified += 1
-                    if network.component_hits_region(component, region):
-                        answer = True
-                        break
-            if _obs_enabled():
-                self._m_queries.inc()
-                if answer:
-                    self._m_positives.inc()
-                # The single slab query plays the role of the label probe.
-                self._m_probes.inc()
-                self._m_verified.inc(verified)
-                _inst.THREEDREACH_REV_SLABS.inc()
-            return answer
+            return self._slab(self._network.super_of(v), region)
 
-    # ------------------------------------------------------------------
+    def _slab(self, source: int, region: Rect) -> bool:
+        """The single slab query: base ``region`` at ``z = post_rev(source)``."""
+        z = float(self._labeling.post_of(source))
+        slab = (region.xlo, region.ylo, z, region.xhi, region.yhi, z)
+        verified = 0
+        if self._scc_mode == "replicate":
+            # Segments are degenerate in x/y, so box intersection with
+            # the slab is exact: any hit is a witness.
+            answer = self._rtree.any_intersecting(slab) is not None
+        else:
+            # An intersecting box only proves the super-vertex is an
+            # ancestor-reachable one whose MBR overlaps R; verify points.
+            answer = False
+            hits_region = self._network.component_hits_region
+            for component in self._rtree.search(slab):
+                verified += 1
+                if hits_region(component, region):
+                    answer = True
+                    break
+        if _obs_enabled():
+            self._m_queries.inc()
+            if answer:
+                self._m_positives.inc()
+            # The single slab query plays the role of the label probe.
+            self._m_probes.inc()
+            self._m_verified.inc(verified)
+            _inst.THREEDREACH_REV_SLABS.inc()
+        return answer
+
     def query_batch(self, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
         """Answer many queries as a z-sorted sweep of slab queries.
 
@@ -164,46 +104,9 @@ class ThreeDReachRev(RangeReachBase):
         if not pairs:
             return []
         with _span(f"{self.name}.query_batch"):
-            network = self._network
-            super_of = network.super_of
-            post_of = self._labeling.post_of
-            rtree = self._rtree
-            resolved = [
-                (float(post_of(super_of(v))), region.as_tuple(), region)
-                for v, region in pairs
-            ]
-            unique: dict[tuple[float, tuple], Rect] = {}
-            for z, rkey, region in resolved:
-                unique.setdefault((z, rkey), region)
-            memo: dict[tuple[float, tuple], bool] = {}
-            verified = 0
-            replicate = self._scc_mode == "replicate"
-            sweep = self._gkernel.any_at if self._gkernel is not None else None
-            for (z, rkey) in sorted(unique):
-                region = unique[(z, rkey)]
-                slab = (region.xlo, region.ylo, z,
-                        region.xhi, region.yhi, z)
-                if sweep is not None:
-                    answer = sweep(region, int(z))
-                elif replicate:
-                    answer = rtree.any_intersecting(slab) is not None
-                else:
-                    answer = False
-                    for component in rtree.search(slab):
-                        verified += 1
-                        if network.component_hits_region(component, region):
-                            answer = True
-                            break
-                memo[(z, rkey)] = answer
-            answers = [memo[(z, rkey)] for z, rkey, _ in resolved]
-            if _obs_enabled():
-                slabs = len(unique)
-                self._m_queries.inc(len(pairs))
-                self._m_positives.inc(sum(answers))
-                self._m_probes.inc(slabs)
-                self._m_verified.inc(verified)
-                _inst.THREEDREACH_REV_SLABS.inc(slabs)
-            return answers
+            return self._batch_distinct(
+                pairs, self._slab, self._labeling.post_of
+            )
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -1,11 +1,8 @@
 """Vectorized twins of the hot pure-python inner loops.
 
 The columnar core (CSR columns, post-order slabs, flattened label
-arrays) is exactly the shape that vectorizes: every method bottoms out
-in a handful of scans — slab interval scans, ``Rect`` containment
-probes over point columns, cuboid containment sweeps, BFL
-set-containment filter checks, and interval-label coverage tests.
-This package provides two interchangeable implementations of each:
+arrays) is exactly the shape that vectorizes.  This package provides
+two interchangeable implementations of each scan:
 
 * ``python`` — thin wrappers over the existing pure-python scans.
   This is the behavioral oracle: it delegates to the exact same code
@@ -13,14 +10,18 @@ This package provides two interchangeable implementations of each:
   ``intervals_cover``, ...) the methods ran before the kernel layer
   existed.
 * ``numpy`` — batched array kernels over zero-copy views of the same
-  columnar buffers.  Answers are bit-identical to the python twins;
-  only the evaluation strategy (and therefore some *work counters*)
-  differs.
+  columnar buffers.  Answers are bit-identical to the python twins.
 
-The backend is selected per :class:`~repro.pipeline.BuildContext` /
-method via the ``kernels="numpy"|"python"`` knob, the
-``REPRO_KERNELS`` environment variable, or — by default — ``numpy``
-whenever the module imports.  See :mod:`repro.kernels.backend`.
+**One routing rule.**  A method goes through this package only where
+the kernel *is* the method's scan: the slab kernel behind SocReach,
+3DReach and the query engine's boolean query, and the label kernel
+behind ``reaches_many`` — under whichever backend the
+``kernels="numpy"|"python"`` knob (or ``REPRO_KERNELS``, or the numpy
+default) selects.  3DReach-Rev, SpaReach and GeoReach always evaluate
+on the paper's structures, where the measured numpy routing lost
+(docs/API.md has the numbers); the point, BFL and segment kernels stay
+as tested building blocks with no method behind them.
+See :mod:`repro.kernels.backend`.
 """
 
 from repro.kernels.backend import (

@@ -97,10 +97,10 @@ class NumpyPointKernel(_PointKernelBase):
         self._count()
         if hi <= lo:
             return -1
-        hits = self._np.flatnonzero(self._mask(region, lo, hi))
-        if hits.size == 0:
-            return -1
-        return int(hits[0]) + lo
+        # argmax of a bool mask stops at the first True (0 if none).
+        mask = self._mask(region, lo, hi)
+        first = int(mask.argmax())
+        return first + lo if mask[first] else -1
 
 
 def make_point_kernel(backend: str, columns: SpatialColumns) -> _PointKernelBase:

@@ -208,11 +208,6 @@ SERVE_STAGE_SECONDS = REGISTRY.histogram_family(
     "(parse / admit / queue.wait / exec / encode).",
     label_names=("endpoint", "stage"),
 )
-HTTP_DEPRECATED = REGISTRY.counter_family(
-    "repro_http_deprecated_requests_total",
-    "Requests served through the deprecated pre-/v1 endpoints.",
-    label_names=("endpoint",),
-)
 
 # ----------------------------------------------------------------------
 # Sharded scatter-gather serving (repro.shard)

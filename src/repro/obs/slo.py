@@ -44,6 +44,7 @@ __all__ = [
     "Objective",
     "SLOMonitor",
     "default_objectives",
+    "op_endpoint",
     "DEFAULT_WINDOWS",
     "FAST_BURN_FACTOR",
 ]
@@ -86,18 +87,25 @@ class Objective:
         }
 
 
-def default_objectives() -> tuple[Objective, ...]:
-    """The serving stack's default objectives.
+def op_endpoint(endpoint: str, op: str) -> str:
+    """The ``endpoint`` label one op of a multiplexed route is counted
+    under (``/v1:query``): what the transport labels its SLI samples
+    with and what a per-op :class:`Objective` names."""
+    return f"{endpoint}:{op}"
 
-    Thresholds follow each endpoint's work profile: a single
-    reachability query is label probes plus an R-tree walk (fast), a
-    batch fans out across the executor pool (slow), a write may trigger
-    a bounded delta-BFS or a rebuild check (in between).
+
+def default_objectives() -> tuple[Objective, ...]:
+    """The serving stack's default objectives, one per ``/v1`` op.
+
+    Thresholds follow each op's work profile: a single reachability
+    query is label probes plus an R-tree walk (fast), a batch fans out
+    across the executor pool (slow), a write may trigger a bounded
+    delta-BFS or a rebuild check (in between).
     """
     return (
-        Objective("/query", latency_threshold_s=0.1),
-        Objective("/batch", latency_threshold_s=1.0),
-        Objective("/write", latency_threshold_s=0.5),
+        Objective(op_endpoint("/v1", "query"), latency_threshold_s=0.1),
+        Objective(op_endpoint("/v1", "batch"), latency_threshold_s=1.0),
+        Objective(op_endpoint("/v1", "write"), latency_threshold_s=0.5),
     )
 
 

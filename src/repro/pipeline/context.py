@@ -370,7 +370,8 @@ class BuildContext:
         stride: int = 1,
         backend: str | None = None,
     ):
-        """Slab-scan kernel over :meth:`post_slabs` (SocReach, cuboid sweeps)."""
+        """Slab-scan kernel over :meth:`post_slabs` (SocReach, 3DReach and
+        the engine's cuboid sweeps — the one kernel queries route through)."""
         backend = self._backend(backend)
         return self._kernel(
             ("slab", backend, mode, stride),
@@ -380,7 +381,12 @@ class BuildContext:
         )
 
     def point_kernel(self, backend: str | None = None):
-        """Point-probe kernel over :meth:`columns` (MBR verification, GeoReach)."""
+        """Point-probe kernel over :meth:`columns`.
+
+        No method routes through it (SpaReach and GeoReach scan the
+        columns directly); kept for the benchmark ladder and the parity
+        suite, like :meth:`bfl_kernel` and :meth:`segment_kernel`.
+        """
         backend = self._backend(backend)
         return self._kernel(
             ("points", backend), lambda: make_point_kernel(backend, self.columns())
@@ -392,7 +398,8 @@ class BuildContext:
         seed: int = 7,
         backend: str | None = None,
     ):
-        """Batched BFL kernel over :meth:`bfl_reach` (SpaReach candidates)."""
+        """Batched BFL kernel over :meth:`bfl_reach` (no method routes
+        through it; see :meth:`point_kernel`)."""
         backend = self._backend(backend)
         return self._kernel(
             ("bfl", backend, int(filter_bits), int(seed)),
@@ -417,7 +424,8 @@ class BuildContext:
         )
 
     def segment_kernel(self, mode: str = "subtree", backend: str | None = None):
-        """Segment-sweep kernel over :meth:`reversed_labeling` (3DReach-Rev)."""
+        """Segment-sweep kernel over :meth:`reversed_labeling` (no method
+        routes through it; see :meth:`point_kernel`)."""
         backend = self._backend(backend)
         return self._kernel(
             ("segments", backend, mode),

@@ -14,9 +14,6 @@ GET       /debug/traces  flight recorder: recent/sampled traces, ``?id=``
 GET       /debug/slow    the K slowest retained requests, slowest first
 GET       /debug/errors  retained errored requests, newest first
 POST      /v1            the versioned envelope: query / batch / write
-POST      /query         deprecated alias of ``/v1`` op=query
-POST      /batch         deprecated alias of ``/v1`` op=batch (504)
-POST      /write         deprecated alias of ``/v1`` op=write
 ========  =============  =================================================
 
 Status codes: 400 malformed request, 404 unknown path, 405 wrong
@@ -26,10 +23,9 @@ method, 429 admission control, 503 draining, 504 batch deadline.
 ``{"op": "query"|"batch"|"write", "method": ..., ...}`` (see
 :meth:`QueryService.v1`) and is *strict*: unknown fields for the
 (op, method) pair and fields appearing twice in the JSON body are 400s
-naming the offending field(s).  The pre-/v1 endpoints remain as thin
-aliases; every response through them carries ``Deprecation: true``
-plus a ``Link: </v1>; rel="successor-version"`` pointer and bumps
-``repro_http_deprecated_requests_total``.
+naming the offending field(s).  The pre-/v1 endpoints (``/query``,
+``/batch``, ``/write``) were removed after one deprecation cycle and
+answer 404 like any unknown path.
 
 **Request ids.**  Every request gets an id: the trace-id of an incoming
 W3C ``traceparent`` header, else a well-formed ``X-Request-Id`` header,
@@ -37,9 +33,9 @@ else a freshly generated 32-hex id.  Every response — success, error,
 404, even ``/metrics`` — echoes it in the ``X-Request-Id`` header;
 error bodies carry it as ``"request_id"`` so a failing client log line
 can be joined against the server's flight recorder
-(``/debug/traces?id=...``) without header plumbing.  The three query
-endpoints run under a trace rooted at the endpoint name whose id *is*
-the request id; stages (``parse`` / ``admit`` / ``queue.wait`` /
+(``/debug/traces?id=...``) without header plumbing.  A ``/v1`` request
+runs under a trace rooted at the endpoint name whose id *is* the
+request id; stages (``parse`` / ``admit`` / ``queue.wait`` /
 ``exec`` / ``encode``) and the executor's per-chunk worker subtrees are
 stitched into that tree.
 
@@ -66,6 +62,7 @@ from urllib.parse import parse_qs
 from repro.exec import BatchTimeoutError
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
+from repro.obs.slo import op_endpoint
 from repro.obs.trace import (
     new_trace_id,
     parse_traceparent,
@@ -73,7 +70,7 @@ from repro.obs.trace import (
     trace as _trace,
     valid_request_id,
 )
-from repro.serve.service import QueryService, ServiceError
+from repro.serve.service import V1_OPS, QueryService, ServiceError
 
 __all__ = ["QueryHTTPServer", "run_server", "start_server"]
 
@@ -95,12 +92,9 @@ class _Handler(BaseHTTPRequestHandler):
     busy = False
     # Per-request id, assigned at dispatch; echoed on every response.
     request_id = ""
-    # Per-request flags (handlers persist across keep-alive requests,
-    # so _dispatch resets them): strict JSON parsing collects duplicate
-    # object keys, deprecated routes stamp their responses.
-    _strict_json = False
+    # Object keys the strict JSON parse saw twice (handlers persist
+    # across keep-alive requests, so _dispatch resets it).
     _duplicate_fields: tuple[str, ...] = ()
-    _deprecated = False
 
     def setup(self) -> None:
         super().setup()
@@ -127,11 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
             endpoint, _, query = self.path.partition("?")
             self._query = parse_qs(query) if query else {}
             self.request_id = self._extract_request_id()
-            self._strict_json = False
             self._duplicate_fields = ()
-            self._deprecated = endpoint in _DEPRECATED_ROUTES
-            if self._deprecated and _obs_enabled():
-                _inst.HTTP_DEPRECATED.labels(endpoint=endpoint).inc()
             service = self.server.service
             route = _ROUTES.get(endpoint)
             if route is None:
@@ -184,26 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self._count(endpoint, 200)
 
-    def _post_query(self, service: QueryService, endpoint: str) -> None:
-        self._admitted(service, endpoint, service.single)
-
-    def _post_batch(self, service: QueryService, endpoint: str) -> None:
-        self._admitted(service, endpoint, service.batch)
-
-    def _post_write(self, service: QueryService, endpoint: str) -> None:
-        self._admitted(service, endpoint, service.write)
-
     def _post_v1(self, service: QueryService, endpoint: str) -> None:
-        self._strict_json = True
-        self._admitted(
-            service,
-            endpoint,
-            lambda payload: service.v1(
-                payload, duplicates=self._duplicate_fields
-            ),
-        )
-
-    def _admitted(self, service: QueryService, endpoint: str, op) -> None:
         started_wall = time.time()
         t0 = time.perf_counter()
         finished_trace = None
@@ -211,28 +182,39 @@ class _Handler(BaseHTTPRequestHandler):
             with _trace(
                 endpoint, trace_id=self.request_id, counters=False
             ) as tr:
-                status, error = self._run_admitted(service, endpoint, op)
+                status, error, sli = self._run_admitted(service, endpoint)
             finished_trace = tr
         else:
-            status, error = self._run_admitted(service, endpoint, op)
+            status, error, sli = self._run_admitted(service, endpoint)
         service.observe_request(
             endpoint,
             status,
             finished_trace,
+            sli=sli,
             duration=time.perf_counter() - t0,
             started=started_wall,
             error=error,
         )
 
     def _run_admitted(
-        self, service: QueryService, endpoint: str, op
-    ) -> tuple[int, str | None]:
-        """Parse, admit, execute, respond; returns (status, error)."""
+        self, service: QueryService, endpoint: str
+    ) -> tuple[int, str | None, str]:
+        """Parse, admit, execute, respond; returns (status, error, sli).
+
+        ``sli`` is the label the request is counted under: ``/v1:<op>``
+        once the envelope names a known op (the SLO objectives are per
+        op), the bare endpoint for bodies that never got that far.
+        """
+        sli = endpoint
         try:
             with _tspan("parse"):
                 payload = self._read_json()
+            if payload.get("op") in V1_OPS:
+                sli = op_endpoint(endpoint, payload["op"])
             with service.admit():
-                result = op(payload)
+                result = service.v1(
+                    payload, duplicates=self._duplicate_fields
+                )
         except BatchTimeoutError as exc:
             self._send_json(
                 504,
@@ -242,20 +224,19 @@ class _Handler(BaseHTTPRequestHandler):
                     "total_chunks": exc.total,
                     "request_id": self.request_id,
                 },
-                endpoint=endpoint,
+                endpoint=sli,
             )
-            return 504, str(exc)
+            return 504, str(exc), sli
         except ServiceError as exc:
             body = {"error": str(exc), "request_id": self.request_id}
             headers = {}
             if exc.status in (429, 503):
                 headers["Retry-After"] = "1"
-            self._send_json(exc.status, body, endpoint=endpoint,
-                            headers=headers)
-            return exc.status, str(exc)
+            self._send_json(exc.status, body, endpoint=sli, headers=headers)
+            return exc.status, str(exc), sli
         else:
-            self._send_json(200, result, endpoint=endpoint)
-            return 200, None
+            self._send_json(200, result, endpoint=sli)
+            return 200, None, sli
 
     # -- flight-recorder debug endpoints --------------------------------
     def _recorder_or_404(self, service: QueryService, endpoint: str):
@@ -356,26 +337,23 @@ class _Handler(BaseHTTPRequestHandler):
         if nbytes <= 0:
             raise BadRequestError("request body required")
         raw = self.rfile.read(nbytes)
+        duplicates: list[str] = []
+
+        def _no_duplicates(pairs):
+            out: dict = {}
+            for key, value in pairs:
+                if key in out:
+                    duplicates.append(key)
+                out[key] = value
+            return out
+
         try:
-            if self._strict_json:
-                duplicates: list[str] = []
-
-                def _no_duplicates(pairs):
-                    out: dict = {}
-                    for key, value in pairs:
-                        if key in out:
-                            duplicates.append(key)
-                        out[key] = value
-                    return out
-
-                payload = json.loads(raw, object_pairs_hook=_no_duplicates)
-                self._duplicate_fields = tuple(duplicates)
-            else:
-                payload = json.loads(raw)
+            payload = json.loads(raw, object_pairs_hook=_no_duplicates)
         except ValueError:
             raise BadRequestError("request body is not valid JSON") from None
         if not isinstance(payload, dict):
             raise BadRequestError("request body must be a JSON object")
+        self._duplicate_fields = tuple(duplicates)
         return payload
 
     def _send_json(
@@ -395,9 +373,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             if self.request_id:
                 self.send_header("X-Request-Id", self.request_id)
-            if self._deprecated:
-                self.send_header("Deprecation", "true")
-                self.send_header("Link", '</v1>; rel="successor-version"')
             for key, value in (headers or {}).items():
                 self.send_header(key, value)
             self.end_headers()
@@ -419,15 +394,7 @@ _ROUTES = {
     "/debug/slow": ("GET", _Handler._get_debug_slow),
     "/debug/errors": ("GET", _Handler._get_debug_errors),
     "/v1": ("POST", _Handler._post_v1),
-    "/query": ("POST", _Handler._post_query),
-    "/batch": ("POST", _Handler._post_batch),
-    "/write": ("POST", _Handler._post_write),
 }
-
-#: Pre-/v1 endpoints kept as thin aliases: responses carry a
-#: ``Deprecation`` header and count into
-#: ``repro_http_deprecated_requests_total``.
-_DEPRECATED_ROUTES = frozenset({"/query", "/batch", "/write"})
 
 
 class QueryHTTPServer(ThreadingHTTPServer):

@@ -43,10 +43,10 @@ from repro.system import GeosocialDatabase
 
 DEFAULT_MAX_INFLIGHT = 64
 
-#: Read operations /query accepts, mapped to database methods.
+#: The /v1 query methods, mapped to database reads.
 _READ_OPS = ("reach", "count", "witnesses")
 
-#: Mutations /write accepts (also the /v1 write methods).
+#: The /v1 write methods.
 _WRITE_OPS = (
     "add_user",
     "add_venue",
@@ -58,7 +58,7 @@ _WRITE_OPS = (
 
 #: The /v1 envelope: every request is ``{"op": ..., "method": ...}``
 #: plus the fields its (op, method) pair allows — nothing else.
-_V1_OPS = ("query", "batch", "write")
+V1_OPS = ("query", "batch", "write")
 _V1_COMMON_FIELDS = frozenset({"op", "method", "deadline_ms", "shard_hint"})
 _V1_METHOD_FIELDS: dict[tuple[str, str], frozenset[str]] = {
     **{("query", m): frozenset({"vertex", "region"}) for m in _READ_OPS},
@@ -279,58 +279,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # Request handlers (admitted requests)
     # ------------------------------------------------------------------
-    def single(self, payload: dict) -> dict:
-        """``POST /query`` — one read: reach (default), count, witnesses."""
-        with _tspan("parse"):
-            vertex = _as_int(_require(payload, "vertex"), "vertex")
-            region = parse_region(_require(payload, "region"))
-            op = payload.get("op", "reach")
-            if op not in _READ_OPS:
-                raise BadRequestError(
-                    f"unknown op {op!r}; known: {', '.join(_READ_OPS)}"
-                )
-        database = self._database
-        with self._locked(), _tspan("exec"):
-            try:
-                if op == "reach":
-                    answer = database.range_reach(vertex, region)
-                elif op == "count":
-                    answer = database.count_reachable(vertex, region)
-                else:
-                    answer = database.reachable_venues(vertex, region)
-            except (IndexError, ValueError) as exc:
-                raise BadRequestError(str(exc)) from None
-        return {"op": op, "answer": answer}
-
-    def batch(self, payload: dict) -> dict:
-        """``POST /batch`` — many reach queries, one deadline.
-
-        The deadline (request ``timeout`` field, else the service
-        default) propagates into the executor; expiry raises
-        :class:`BatchTimeoutError` for the transport to map to 504.
-        """
-        with _tspan("parse"):
-            queries = _require(payload, "queries")
-            if not isinstance(queries, list):
-                raise BadRequestError("queries must be a list")
-            pairs = []
-            for i, entry in enumerate(queries):
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise BadRequestError(
-                        f"queries[{i}] must be [vertex, region]"
-                    )
-                pairs.append((
-                    _as_int(entry[0], f"queries[{i}] vertex"),
-                    parse_region(entry[1]),
-                ))
-            timeout = self._default_timeout
-            if "timeout" in payload and payload["timeout"] is not None:
-                timeout = _as_number(payload["timeout"], "timeout")
-                if timeout <= 0:
-                    raise BadRequestError("timeout must be positive")
-        answers = self._execute_batch(pairs, timeout)
-        return {"answers": answers, "count": len(answers)}
-
     def _execute_batch(
         self, pairs, timeout, shard_hint: int | None = None
     ) -> list[bool]:
@@ -360,8 +308,9 @@ class QueryService:
     def write(
         self, payload: dict, *, shard_hint: int | None = None
     ) -> dict:
-        """``POST /write`` — one mutation against the live store.
+        """One mutation against the live store (the /v1 write op).
 
+        ``payload`` is ``{"op": <write method>, ...its fields}``;
         ``shard_hint`` (from the /v1 envelope) routes ``add_user`` to a
         specific shard of a sharded database; it is ignored elsewhere.
         """
@@ -435,9 +384,9 @@ class QueryService:
                     + ", ".join(sorted(set(duplicates)))
                 )
             op = _require(payload, "op")
-            if op not in _V1_OPS:
+            if op not in V1_OPS:
                 raise BadRequestError(
-                    f"unknown op {op!r}; known: {', '.join(_V1_OPS)}"
+                    f"unknown op {op!r}; known: {', '.join(V1_OPS)}"
                 )
             if op == "write":
                 method = _require(payload, "method")
@@ -558,6 +507,7 @@ class QueryService:
         status: int,
         trace: Trace | None,
         *,
+        sli: str | None = None,
         duration: float | None = None,
         started: float | None = None,
         error: str | None = None,
@@ -566,20 +516,25 @@ class QueryService:
 
         ``trace`` is the request's closed span tree (None when tracing
         is off — the latency SLI then needs an explicit ``duration``).
-        ``started`` is the wall-clock epoch the request began, for the
-        recorder.
+        ``sli`` is the label the latency and stage histograms are
+        observed under (default: ``endpoint``); the transport passes
+        ``/v1:<op>`` so the SLO objectives are per op while the
+        recorder entry stays under ``endpoint``.  ``started`` is the
+        wall-clock epoch the request began, for the recorder.
         """
+        if sli is None:
+            sli = endpoint
         if duration is None and trace is not None:
             duration = trace.duration
         if _obs_enabled() and duration is not None:
-            _inst.SERVE_ENDPOINT_SECONDS.labels(endpoint=endpoint).observe(
+            _inst.SERVE_ENDPOINT_SECONDS.labels(endpoint=sli).observe(
                 duration
             )
         if trace is not None:
             if _obs_enabled():
                 for stage, seconds in trace.stage_seconds().items():
                     _inst.SERVE_STAGE_SECONDS.labels(
-                        endpoint=endpoint, stage=stage
+                        endpoint=sli, stage=stage
                     ).observe(seconds)
             if self._recorder is not None:
                 self._recorder.record_trace(

@@ -342,37 +342,16 @@ class RTree:
     def search(self, query: Bounds) -> Iterator[Any]:
         """Yield every item whose bounds intersect ``query``.
 
-        With observability enabled the traversal is served by an
-        instrumented twin that counts nodes visited, leaves scanned and
-        entries tested (``repro_rtree_*`` counters); the plain loop below
-        stays increment-free so a disabled run pays only this one check.
+        Traversal work (``repro_rtree_*``: nodes visited, leaves scanned,
+        entries tested) accumulates in locals and flushes once in
+        ``finally``, which also runs when an early-terminating consumer
+        (``any_intersecting``) closes the generator after the first hit —
+        so per-query work is attributed even for abandoned searches.
+        Entries are tallied per leaf: an abandoned search is charged the
+        whole leaf it stopped in.
         """
         if self._root is None:
             return
-        if _obs_enabled():
-            yield from self._search_counted(query)
-            return
-        dims = self._dims
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.bounds is None or not bounds_intersect(node.bounds, query, dims):
-                continue
-            if node.is_leaf:
-                for bounds, item in node.entries:
-                    if bounds_intersect(bounds, query, dims):
-                        yield item
-            else:
-                stack.extend(node.children)
-
-    def _search_counted(self, query: Bounds) -> Iterator[Any]:
-        """The metered twin of :meth:`search`.
-
-        Counts accumulate in locals and flush once in ``finally``, which
-        also runs when an early-terminating consumer (``any_intersecting``)
-        closes the generator after the first hit — so per-query work is
-        attributed even for abandoned searches.
-        """
         dims = self._dims
         nodes = leaves = items = 0
         stack = [self._root]
@@ -386,17 +365,18 @@ class RTree:
                     continue
                 if node.is_leaf:
                     leaves += 1
+                    items += len(node.entries)
                     for bounds, item in node.entries:
-                        items += 1
                         if bounds_intersect(bounds, query, dims):
                             yield item
                 else:
                     stack.extend(node.children)
         finally:
-            _inst.RTREE_SEARCHES.inc()
-            _inst.RTREE_NODES_VISITED.inc(nodes)
-            _inst.RTREE_LEAVES_SCANNED.inc(leaves)
-            _inst.RTREE_ITEMS_TESTED.inc(items)
+            if _obs_enabled():
+                _inst.RTREE_SEARCHES.inc()
+                _inst.RTREE_NODES_VISITED.inc(nodes)
+                _inst.RTREE_LEAVES_SCANNED.inc(leaves)
+                _inst.RTREE_ITEMS_TESTED.inc(items)
 
     def search_all(self, query: Bounds) -> list[Any]:
         """Return all items intersecting ``query`` as a list."""

@@ -363,18 +363,20 @@ def test_slo_subcommand_reports_burn_rates(capsys):
     base = f"http://127.0.0.1:{server.port}"
     try:
         request = urllib.request.Request(
-            base + "/query",
-            data=json.dumps({"vertex": 0, "region": [0, 0, 1, 1]}).encode(),
+            base + "/v1",
+            data=json.dumps(
+                {"op": "query", "vertex": 0, "region": [0, 0, 1, 1]}
+            ).encode(),
             headers={"Content-Type": "application/json"},
         )
         with urllib.request.urlopen(request, timeout=30) as resp:
             assert resp.status == 200
         assert main(["slo", "--url", base]) == 0
         out = capsys.readouterr().out
-        assert "/query" in out and "burn" in out and "budget" in out
+        assert "/v1:query" in out and "burn" in out and "budget" in out
         assert main(["slo", "--url", base, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "/query" in payload["endpoints"]
+        assert "/v1:query" in payload["endpoints"]
     finally:
         server.drain(persist=False)
 

@@ -1,7 +1,7 @@
 """The unified query protocol and the vectorized batch overrides.
 
 Covers the API-level contract (QueryRequest/QueryResult, execute,
-deprecation shims, constructor keyword alignment) and the batch
+constructor keyword alignment) and the batch
 guarantees the overrides must honor: empty batches and label-less
 sources never touch the R-tree, and duplicated work is deduplicated
 (observable through the obs counters).
@@ -99,34 +99,15 @@ def test_default_query_batch_matches_loop(fig1_net):
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims + keyword alignment
+# Keyword alignment (the deprecated aliases are gone)
 # ----------------------------------------------------------------------
-def test_engine_range_reach_is_deprecated_alias(fig1_condensed):
-    engine = GeosocialQueryEngine(fig1_condensed)
-    with pytest.warns(DeprecationWarning, match="use query"):
-        deprecated = engine.range_reach(0, REGION)
-    assert deprecated == engine.query(0, REGION)
-
-
-def test_threedreach_rev_reversed_labeling_alias(fig1_condensed):
+def test_removed_aliases_stay_removed(fig1_condensed):
     from repro.labeling import build_reversed_labeling
 
+    assert not hasattr(GeosocialQueryEngine(fig1_condensed), "range_reach")
     labeling = build_reversed_labeling(fig1_condensed.dag)
-    with pytest.warns(DeprecationWarning, match="labeling="):
-        via_alias = ThreeDReachRev(fig1_condensed, reversed_labeling=labeling)
-    canonical = ThreeDReachRev(fig1_condensed, labeling=labeling)
-    for v in range(fig1_condensed.dag.num_vertices):
-        assert via_alias.query(v, REGION) == canonical.query(v, REGION)
-
-
-def test_threedreach_rev_rejects_both_labeling_keywords(fig1_condensed):
-    from repro.labeling import build_reversed_labeling
-
-    labeling = build_reversed_labeling(fig1_condensed.dag)
-    with pytest.raises(TypeError, match="not both"):
-        ThreeDReachRev(
-            fig1_condensed, labeling=labeling, reversed_labeling=labeling
-        )
+    with pytest.raises(TypeError):
+        ThreeDReachRev(fig1_condensed, reversed_labeling=labeling)
 
 
 def test_stride_keyword_aligned_across_methods(fig1_condensed):
@@ -199,8 +180,6 @@ def test_threedreach_batch_dedups_pairs(built):
 
 def test_socreach_batch_empty_labels_guard(fig1_condensed):
     socreach = SocReach(fig1_condensed)
-    # A fabricated source with no labels must short-circuit to FALSE.
-    assert socreach._flat_ranges  # the scan helper exists
     pairs = [(0, EMPTY_REGION)] * 3
     assert socreach.query_batch(pairs) == [False, False, False]
 

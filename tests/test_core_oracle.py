@@ -44,3 +44,10 @@ def test_cyclic_network_supported():
 
 def test_size_bytes_zero():
     assert RangeReachOracle(fig1_network()).size_bytes() == 0
+
+
+def test_tuple_regions_accepted():
+    g = DiGraph.from_edges(2, [(0, 1)])
+    oracle = RangeReachOracle(GeosocialNetwork(g, [None, Point(0.5, 0.5)]))
+    assert oracle.query(0, (0, 0, 1, 1)) is True
+    assert oracle.witnesses(0, [0, 0, 1, 1]) == [1]

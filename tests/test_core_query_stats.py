@@ -11,7 +11,13 @@ import pytest
 
 from helpers import FIG1_INDEX, FIG1_REGION, fig1_network
 from repro import obs
-from repro.core import GeoReach, SocReach, SpaReach, ThreeDReach
+from repro.core import (
+    GeoReach,
+    SocReach,
+    SpaReach,
+    ThreeDReach,
+    ThreeDReachRev,
+)
 from repro.geometry import Rect
 from repro.geosocial import condense_network
 
@@ -124,6 +130,24 @@ def test_threedreach_counts_cuboids(condensed):
     answer, delta = query_delta(method, FIG1_INDEX["a"], FIG1_REGION)
     assert answer is True
     assert of(delta, "repro_threedreach_cuboid_queries_total") == 1
+
+
+@pytest.mark.parametrize("scc_mode", ["replicate", "mbr"])
+def test_threedreach_rev_issues_exactly_one_slab_per_query(condensed, scc_mode):
+    method = ThreeDReachRev(condensed, scc_mode=scc_mode)
+    queries = [(FIG1_INDEX[n], FIG1_REGION) for n in "abcdefghijkl"]
+    with obs.measure() as delta:
+        for vertex, region in queries:
+            method.query(vertex, region)
+    slabs = of(delta, "repro_threedreach_rev_slab_queries_total")
+    assert slabs == len(queries)
+    assert of(delta, "repro_method_label_probes_total", method) == slabs
+    assert of(delta, "repro_rtree_searches_total") == slabs
+    # A batch spends one slab per *distinct* (source, region).
+    with obs.measure() as delta:
+        method.query_batch(queries + queries[:4])
+    assert of(delta, "repro_threedreach_rev_slab_queries_total") == len(queries)
+    assert of(delta, "repro_method_queries_total", method) == len(queries) + 4
 
 
 def test_last_stats_is_gone(condensed):

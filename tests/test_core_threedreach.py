@@ -58,9 +58,6 @@ def test_accepts_prebuilt_labelings(condensed):
     rev = build_reversed_labeling(condensed.dag)
     assert ThreeDReach(condensed, labeling=fwd).labeling is fwd
     assert ThreeDReachRev(condensed, labeling=rev).labeling is rev
-    with pytest.warns(DeprecationWarning, match="labeling="):
-        via_alias = ThreeDReachRev(condensed, reversed_labeling=rev)
-    assert via_alias.labeling is rev
 
 
 def test_invalid_scc_mode(condensed):

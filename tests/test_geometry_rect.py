@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, as_rect
 
 
 def test_degenerate_rect_rejected():
@@ -135,3 +135,25 @@ def test_first_contained():
     assert r.first_contained(xs, ys, 3) == -1
     assert r.first_contained(xs, ys, 0, 1) == -1
     assert r.first_contained(xs, ys, 1, 1) == -1  # empty range
+
+
+# ----------------------------------------------------------------------
+# as_rect: the region forms every query surface accepts
+# ----------------------------------------------------------------------
+def test_as_rect_passes_rect_through_unchanged():
+    rect = Rect(0.0, 0.0, 1.0, 1.0)
+    assert as_rect(rect) is rect
+
+
+def test_as_rect_coerces_sequences():
+    assert as_rect((0.0, 0.25, 1.0, 0.75)) == Rect(0.0, 0.25, 1.0, 0.75)
+    assert as_rect([0, 0, 1, 1]) == Rect(0.0, 0.0, 1.0, 1.0)
+
+
+def test_as_rect_rejects_junk():
+    with pytest.raises(TypeError, match="region must be a Rect"):
+        as_rect("0,0,1,1")
+    with pytest.raises(TypeError, match="region must be a Rect"):
+        as_rect((0.0, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        as_rect((1.0, 0.0, 0.0, 1.0))  # degenerate, same as Rect(...)

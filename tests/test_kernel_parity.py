@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import FIG1_INDEX, FIG1_REGION, fig1_network
 from kernel_helpers import (
     BACKEND_PAIR,
     apply_churn,
@@ -24,6 +25,7 @@ from kernel_helpers import (
     region_on,
     regions,
 )
+from repro import obs
 from repro.core import (
     GeoReach,
     GeosocialQueryEngine,
@@ -260,6 +262,60 @@ def test_methods_match_python_twin(network, data):
         assert py.query_batch(pairs) == np_.query_batch(pairs), (
             f"{name} batch disagrees"
         )
+
+
+# ----------------------------------------------------------------------
+# The re-routed methods do identical *work* under both backends
+# ----------------------------------------------------------------------
+_INERT_BUILDERS = [
+    lambda c, k: ThreeDReachRev(c, kernels=k),
+    lambda c, k: ThreeDReachRev(c, scc_mode="mbr", kernels=k),
+    lambda c, k: SpaReach(c, kernels=k),
+    lambda c, k: SpaReach(c, scc_mode="mbr", kernels=k),
+    lambda c, k: GeoReach(c, kernels=k),
+]
+
+
+def _assert_identical_work(condensed, pairs):
+    """3DReach-Rev, SpaReach and GeoReach evaluate on the paper's
+    structures whatever ``kernels=`` says: same answers, and the same
+    counter deltas — R-tree, method and kernel-invocation tallies."""
+    for build in _INERT_BUILDERS:
+        outcomes = []
+        for backend in BACKEND_PAIR:
+            method = build(condensed, backend)
+            assert method.kernels == backend
+            with obs.measure() as delta:
+                answers = [method.query(v, region) for v, region in pairs]
+                answers.append(method.query_batch(pairs))
+            outcomes.append((answers, delta))
+        assert outcomes[0] == outcomes[1], method.name
+        assert not any(
+            key.startswith("repro_kernel_invocations_total")
+            for key in outcomes[0][1]
+        ), method.name
+
+
+def test_inert_kernels_identical_work_fig1():
+    condensed = condense_network(fig1_network())
+    _assert_identical_work(
+        condensed, [(FIG1_INDEX[n], FIG1_REGION) for n in "abcdefghijkl"]
+    )
+
+
+@given(networks(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_inert_kernels_identical_work(network, data):
+    pairs = [
+        (
+            data.draw(
+                st.integers(min_value=0, max_value=network.num_vertices - 1)
+            ),
+            data.draw(regions()),
+        )
+        for _ in range(4)
+    ]
+    _assert_identical_work(condense_network(network), pairs)
 
 
 @given(networks(), st.data())

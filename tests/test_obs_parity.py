@@ -1,6 +1,8 @@
 """Observability must never change answers: enabled vs disabled parity."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,8 @@ from helpers import (
     random_region,
 )
 from repro import obs
-from repro.core import METHOD_REGISTRY, build_method
+import repro
+from repro.core import METHOD_REGISTRY, RangeReachOracle, build_method
 from repro.geosocial import condense_network
 
 
@@ -60,6 +63,38 @@ def test_identical_answers_random_networks():
         # All methods agree with each other too.
         for answers in on[1:]:
             assert answers == on[0]
+
+
+@pytest.mark.parametrize("method_name", sorted(METHOD_REGISTRY))
+@pytest.mark.parametrize("enabled", [True, False])
+def test_query_and_batch_match_oracle(method_name, enabled):
+    """One evaluation serves ``query`` and ``query_batch``: both agree
+    with the BFS oracle, observability on or off."""
+    rng = random.Random(20260928)
+    for _ in range(3):
+        network = random_geosocial_network(rng)
+        oracle = RangeReachOracle(network)
+        method = build_method(method_name, condense_network(network))
+        queries = [
+            (rng.randrange(network.num_vertices), random_region(rng))
+            for _ in range(12)
+        ]
+        queries += queries[:3]  # duplicates take the memoized answer
+        expected = [oracle.query(v, region) for v, region in queries]
+        with obs.observability(enabled):
+            assert [method.query(v, r) for v, r in queries] == expected
+            assert method.query_batch(queries) == expected
+
+
+def test_no_plain_counted_twins_in_source():
+    """Every evaluation is written once; the obs-off twins stay deleted."""
+    twins = re.compile(r"_query_plain|_query_counted|_search_counted")
+    offenders = [
+        str(path)
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        if twins.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 def test_disabled_mode_flushes_nothing():

@@ -20,7 +20,7 @@ def make_trace(
     *,
     trace_id: str,
     stages: dict[str, float] | None = None,
-    name: str = "/query",
+    name: str = "/v1",
 ) -> Trace:
     root = Span(name)
     root.start = 0.0
@@ -46,7 +46,7 @@ def record_one(
 ):
     return recorder.record_trace(
         make_trace(duration, trace_id=trace_id, stages=stages),
-        endpoint="/query",
+        endpoint="/v1",
         status=status,
         started=1000.0,
         error=error,

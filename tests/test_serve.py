@@ -78,40 +78,11 @@ def _get(base: str, path: str):
 
 
 # ----------------------------------------------------------------------
-# Read endpoints vs. the oracle
+# Region forms (oracle parity of every op lives in test_serve_v1.py)
 # ----------------------------------------------------------------------
-def test_single_query_matches_oracle(server, tiny_net):
-    _, base = server
-    oracle = RangeReachOracle(tiny_net)
-    space = tiny_net.space()
-    region = [space.xlo, space.ylo,
-              (space.xlo + space.xhi) / 2, (space.ylo + space.yhi) / 2]
-    rect = Rect(*region)
-    for vertex in range(0, tiny_net.num_vertices, 7):
-        code, body, _ = _post(
-            base, "/query", {"vertex": vertex, "region": region}
-        )
-        assert code == 200
-        assert body == {"op": "reach", "answer": oracle.query(vertex, rect)}
-
-
-def test_count_and_witnesses_ops(server, tiny_net):
-    _, base = server
-    oracle = RangeReachOracle(tiny_net)
-    space = tiny_net.space()
-    region = [space.xlo, space.ylo, space.xhi, space.yhi]
-    rect = Rect(*region)
-    vertex = 0
-    code, body, _ = _post(
-        base, "/query", {"vertex": vertex, "region": region, "op": "count"}
-    )
-    assert (code, body["answer"]) == (200, oracle.count(vertex, rect))
-    code, body, _ = _post(
-        base, "/query",
-        {"vertex": vertex, "region": region, "op": "witnesses"},
-    )
-    assert code == 200
-    assert sorted(body["answer"]) == sorted(oracle.witnesses(vertex, rect))
+def _q(vertex, region, **extra) -> dict:
+    """A /v1 query envelope."""
+    return {"op": "query", "vertex": vertex, "region": region, **extra}
 
 
 def test_region_accepts_cli_string_form(server, tiny_net):
@@ -120,59 +91,12 @@ def test_region_accepts_cli_string_form(server, tiny_net):
     space = tiny_net.space()
     region = [space.xlo, space.ylo, space.xhi, space.yhi]
     as_string = ",".join(str(c) for c in region)
-    code, body, _ = _post(
-        base, "/query", {"vertex": 0, "region": as_string}
-    )
+    code, body, _ = _post(base, "/v1", _q(0, as_string))
     assert code == 200
     assert body["answer"] == oracle.query(0, Rect(*region))
-    code, body, _ = _post(
-        base, "/query", {"vertex": 0, "region": "0,0,not,numbers"}
-    )
+    code, body, _ = _post(base, "/v1", _q(0, "0,0,not,numbers"))
     assert code == 400
     assert "region" in body["error"]
-
-
-def test_batch_matches_oracle(server, tiny_net):
-    _, base = server
-    oracle = RangeReachOracle(tiny_net)
-    space = tiny_net.space()
-    region = [space.xlo, space.ylo,
-              (space.xlo + space.xhi) / 2, space.yhi]
-    queries = [[v, region] for v in range(0, tiny_net.num_vertices, 11)]
-    code, body, _ = _post(base, "/batch", {"queries": queries})
-    assert code == 200
-    assert body["count"] == len(queries)
-    assert body["answers"] == [
-        oracle.query(v, Rect(*region)) for v, _ in queries
-    ]
-
-
-def test_write_then_query_reflects_update(server, tiny_net):
-    _, base = server
-    users = [v for v, k in enumerate(tiny_net.kinds) if k == "user"]
-    # A venue far outside the seed SPACE: only the new check-in reaches it.
-    code, body, _ = _post(base, "/write", {"op": "add_venue",
-                                           "x": 999.0, "y": 999.0})
-    assert code == 200
-    venue = body["vertex"]
-    region = [998.0, 998.0, 1000.0, 1000.0]
-    user = users[0]
-    code, body, _ = _post(base, "/query", {"vertex": user, "region": region})
-    assert (code, body["answer"]) == (200, False)
-    code, body, _ = _post(
-        base, "/write", {"op": "add_checkin", "user": user, "venue": venue}
-    )
-    assert (code, body["added"]) == (200, True)
-    code, body, _ = _post(base, "/query", {"vertex": user, "region": region})
-    assert (code, body["answer"]) == (200, True)
-    # And the edge is removable again.
-    code, body, _ = _post(
-        base, "/write",
-        {"op": "remove_checkin", "user": user, "venue": venue},
-    )
-    assert (code, body["removed"]) == (200, True)
-    code, body, _ = _post(base, "/query", {"vertex": user, "region": region})
-    assert (code, body["answer"]) == (200, False)
 
 
 # ----------------------------------------------------------------------
@@ -181,38 +105,55 @@ def test_write_then_query_reflects_update(server, tiny_net):
 def test_bad_requests_get_400(server):
     _, base = server
     cases = [
-        {"region": [0, 0, 1, 1]},                       # missing vertex
-        {"vertex": "x", "region": [0, 0, 1, 1]},        # non-int vertex
-        {"vertex": True, "region": [0, 0, 1, 1]},       # bool is not int
-        {"vertex": 0, "region": [0, 0, 1]},             # short region
-        {"vertex": 0, "region": [1, 1, 0, 0]},          # negative extent
-        {"vertex": 0, "region": [0, 0, 1, 1], "op": "sum"},  # unknown op
-        {"vertex": 10**9, "region": [0, 0, 1, 1]},      # out of range
+        {"op": "query", "region": [0, 0, 1, 1]},        # missing vertex
+        _q("x", [0, 0, 1, 1]),                          # non-int vertex
+        _q(True, [0, 0, 1, 1]),                         # bool is not int
+        _q(0, [0, 0, 1]),                               # short region
+        _q(0, [1, 1, 0, 0]),                            # negative extent
+        _q(0, [0, 0, 1, 1], method="sum"),              # unknown method
+        {"op": "sum", "vertex": 0, "region": [0, 0, 1, 1]},  # unknown op
+        _q(10**9, [0, 0, 1, 1]),                        # out of range
+        {"op": "write", "method": "explode"},
+        {"op": "batch", "queries": [[0]]},
+        {"op": "batch", "queries": [[0, [0, 0, 1, 1]]], "deadline_ms": -1},
     ]
     for payload in cases:
-        code, body, _ = _post(base, "/query", payload)
+        code, body, _ = _post(base, "/v1", payload)
         assert code == 400, payload
         assert "error" in body
-    code, body, _ = _post(base, "/query", None, raw=b"{not json")
+    code, body, _ = _post(base, "/v1", None, raw=b"{not json")
     assert code == 400
-    code, body, _ = _post(base, "/query", None, raw=b"[1, 2]")
-    assert code == 400
-    code, body, _ = _post(base, "/write", {"op": "explode"})
-    assert code == 400
-    code, body, _ = _post(base, "/batch", {"queries": [[0]]})
-    assert code == 400
-    code, body, _ = _post(
-        base, "/batch", {"queries": [[0, [0, 0, 1, 1]]], "timeout": -1}
-    )
+    code, body, _ = _post(base, "/v1", None, raw=b"[1, 2]")
     assert code == 400
 
 
 def test_unknown_path_and_wrong_method(server):
     _, base = server
     assert _get(base, "/nope")[0] == 404
-    assert _get(base, "/query")[0] == 405  # GET on a POST route
+    assert _get(base, "/v1")[0] == 405  # GET on a POST route
     code, _, _ = _post(base, "/healthz", {})
     assert code == 405  # POST on a GET route
+
+
+def test_removed_legacy_endpoints_answer_404(server):
+    # The pre-/v1 routes are gone: the standard error body, the request
+    # id echoed, and no Deprecation header left behind.
+    _, base = server
+    legacy = [
+        ("/query", {"vertex": 0, "region": [0, 0, 1, 1]}),
+        ("/batch", {"queries": [[0, [0, 0, 1, 1]]]}),
+        ("/write", {"op": "add_user"}),
+    ]
+    for path, payload in legacy:
+        code, body, headers = _post_h(
+            base, path, payload, {"X-Request-Id": "legacy-404"}
+        )
+        assert code == 404, path
+        assert body == {
+            "error": f"unknown path {path!r}", "request_id": "legacy-404",
+        }
+        assert headers.get("X-Request-Id") == "legacy-404"
+        assert headers.get("Deprecation") is None
 
 
 def test_healthz_stats_metrics(server):
@@ -257,18 +198,18 @@ def test_admission_control_429_and_drain_503(tiny_net):
     service = QueryService(database, max_inflight=1)
     server = start_server(service)
     base = f"http://127.0.0.1:{server.port}"
-    payload = {"vertex": 0, "region": [0, 0, 1, 1]}
+    payload = _q(0, [0, 0, 1, 1])
     first: dict = {}
 
     def slow_request():
-        first["code"], first["body"], _ = _post(base, "/query", payload)
+        first["code"], first["body"], _ = _post(base, "/v1", payload)
 
     thread = threading.Thread(target=slow_request, daemon=True)
     thread.start()
     assert database.entered.wait(timeout=10)
     # One request is in flight and max_inflight=1: the next is rejected
     # immediately, with a Retry-After hint.
-    code, body, headers = _post(base, "/query", payload)
+    code, body, headers = _post(base, "/v1", payload)
     assert code == 429
     assert "error" in body
     assert headers.get("Retry-After") == "1"
@@ -277,7 +218,7 @@ def test_admission_control_429_and_drain_503(tiny_net):
     assert (first["code"], first["body"]["answer"]) == (200, True)
     # Draining rejects new work with 503 and flips /healthz.
     service.begin_drain()
-    code, _, headers = _post(base, "/query", payload)
+    code, _, headers = _post(base, "/v1", payload)
     assert code == 503
     assert headers.get("Retry-After") == "1"
     code, text = _get(base, "/healthz")
@@ -304,7 +245,7 @@ def test_batch_timeout_maps_to_504():
     server = start_server(service)
     base = f"http://127.0.0.1:{server.port}"
     code, body, _ = _post(
-        base, "/batch", {"queries": [[0, [0, 0, 1, 1]]] * 5}
+        base, "/v1", {"op": "batch", "queries": [[0, [0, 0, 1, 1]]] * 5}
     )
     assert code == 504
     assert body["completed_chunks"] == 2
@@ -320,7 +261,7 @@ def test_batch_deadline_end_to_end(server, tiny_net):
     _, base = server
     queries = [[v, [0, 0, 1, 1]] for v in range(64)]
     code, body, _ = _post(
-        base, "/batch", {"queries": queries, "timeout": 1e-9}
+        base, "/v1", {"op": "batch", "queries": queries, "deadline_ms": 1e-6}
     )
     assert code == 504
     assert body["total_chunks"] >= 1
@@ -350,7 +291,7 @@ def test_service_owns_executor_and_batch_parity(tiny_net):
     space = tiny_net.space()
     region = [space.xlo, space.ylo, space.xhi, space.yhi]
     queries = [[v, region] for v in range(0, tiny_net.num_vertices, 5)]
-    result = service.batch({"queries": queries})
+    result = service.v1({"op": "batch", "queries": queries})
     assert result["answers"] == [
         oracle.query(v, Rect(*region)) for v, _ in queries
     ]
@@ -389,8 +330,7 @@ def test_sigterm_drains_in_flight_and_persists(tmp_path, tiny_net):
         ["--network", str(net_dir), "--snapshot-dir", str(snap_dir)]
     )
     try:
-        code, body, _ = _post(base, "/query",
-                              {"vertex": 0, "region": [0, 0, 1, 1]})
+        code, body, _ = _post(base, "/v1", _q(0, [0, 0, 1, 1]))
         assert code == 200
         # Fire a large batch and SIGTERM while it is (likely) in flight;
         # the drain must still deliver its complete response.
@@ -400,7 +340,7 @@ def test_sigterm_drains_in_flight_and_persists(tmp_path, tiny_net):
 
         def inflight_batch():
             result["code"], result["body"], _ = _post(
-                base, "/batch", {"queries": queries}
+                base, "/v1", {"op": "batch", "queries": queries}
             )
 
         thread = threading.Thread(target=inflight_batch, daemon=True)
@@ -423,8 +363,7 @@ def test_sigterm_drains_in_flight_and_persists(tmp_path, tiny_net):
     # A snapshot-only restart warm-starts and answers identically.
     proc2, base2 = _spawn_server(["--snapshot-dir", str(snap_dir)])
     try:
-        code, body, _ = _post(base2, "/query",
-                              {"vertex": 0, "region": [0, 0, 1, 1]})
+        code, body, _ = _post(base2, "/v1", _q(0, [0, 0, 1, 1]))
         assert code == 200
         oracle = RangeReachOracle(tiny_net)
         assert body["answer"] == oracle.query(0, Rect(0, 0, 1, 1))
@@ -476,8 +415,8 @@ def _find_trace(base: str, rid: str, *, retries: int = 100):
 def test_every_response_carries_request_id(server):
     _, base = server
     checks = [
-        _post(base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]})[2],
-        _post(base, "/query", {"vertex": "bad"})[2],          # 400
+        _post(base, "/v1", _q(0, [0, 0, 1, 1]))[2],
+        _post(base, "/v1", {"op": "query", "vertex": "bad"})[2],  # 400
         _post(base, "/healthz", {})[2],                       # 405
         _get_h(base, "/nope")[2],                             # 404
         _get_h(base, "/healthz")[2],
@@ -496,20 +435,21 @@ def test_every_response_carries_request_id(server):
 def test_request_id_echoed_and_in_error_bodies(server):
     _, base = server
     code, _, headers = _post_h(
-        base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]},
+        base, "/v1", _q(0, [0, 0, 1, 1]),
         {"X-Request-Id": "client-req-7"},
     )
     assert (code, headers.get("X-Request-Id")) == (200, "client-req-7")
     # Error bodies carry the id too (success bodies stay unchanged).
     code, body, headers = _post_h(
-        base, "/query", {"vertex": "bad"}, {"X-Request-Id": "client-err-8"}
+        base, "/v1", {"op": "query", "vertex": "bad"},
+        {"X-Request-Id": "client-err-8"},
     )
     assert code == 400
     assert headers.get("X-Request-Id") == "client-err-8"
     assert body["request_id"] == "client-err-8"
     # An invalid token is replaced with a generated id.
     _, _, headers = _post_h(
-        base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]},
+        base, "/v1", _q(0, [0, 0, 1, 1]),
         {"X-Request-Id": "bad id with spaces"},
     )
     assert len(headers.get("X-Request-Id")) == 32
@@ -519,7 +459,7 @@ def test_traceparent_sets_the_request_id(server):
     _, base = server
     tid = "4bf92f3577b34da6a3ce929d0e0e4736"
     code, _, headers = _post_h(
-        base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]},
+        base, "/v1", _q(0, [0, 0, 1, 1]),
         {"traceparent": f"00-{tid}-00f067aa0ba902b7-01",
          "X-Request-Id": "ignored-when-traceparent-present"},
     )
@@ -531,21 +471,22 @@ def test_traceparent_sets_the_request_id(server):
 def test_debug_endpoints_schemas(server):
     _, base = server
     code, _, _ = _post_h(
-        base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]},
+        base, "/v1", _q(0, [0, 0, 1, 1]),
         {"X-Request-Id": "debug-ok-1"},
     )
     assert code == 200
     code, _, _ = _post_h(
-        base, "/query", {"vertex": "bad"}, {"X-Request-Id": "debug-err-1"}
+        base, "/v1", {"op": "query", "vertex": "bad"},
+        {"X-Request-Id": "debug-err-1"},
     )
     assert code == 400
     entry = _find_trace(base, "debug-ok-1")
-    assert entry["endpoint"] == "/query"
+    assert entry["endpoint"] == "/v1"
     assert entry["status"] == 200
     assert entry["duration_s"] > 0
     stages = entry["stages_s"]
     assert {"parse", "admit", "queue.wait", "exec", "encode"} <= set(stages)
-    assert entry["trace"]["spans"]["name"] == "/query"
+    assert entry["trace"]["spans"]["name"] == "/v1"
     # The overview listing.
     code, text, _ = _get_h(base, "/debug/traces")
     overview = json.loads(text)
@@ -576,14 +517,14 @@ def test_debug_endpoints_schemas(server):
 
 def test_healthz_carries_slo_and_recorder_blocks(server):
     _, base = server
-    code, _, _ = _post(base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]})
+    code, _, _ = _post(base, "/v1", _q(0, [0, 0, 1, 1]))
     assert code == 200
     code, text, _ = _get_h(base, "/healthz")
     health = json.loads(text)
     assert code == 200
     slo = health["slo"]
-    assert {"/query", "/batch", "/write"} <= set(slo["endpoints"])
-    report = slo["endpoints"]["/query"]
+    assert {"/v1:query", "/v1:batch", "/v1:write"} <= set(slo["endpoints"])
+    report = slo["endpoints"]["/v1:query"]
     for sli in ("latency", "availability"):
         assert set(report[sli]["burn_rates"]) == {"5m", "1h"}
         assert 0.0 <= report[sli]["budget_remaining"] <= 1.0
@@ -600,7 +541,8 @@ def test_healthz_carries_slo_and_recorder_blocks(server):
         assert types.get(name) == "gauge", f"{name} missing from /metrics"
     burn_labels = [
         labels for name, labels, _ in samples
-        if name == "repro_slo_burn_rate" and labels.get("endpoint") == "/query"
+        if name == "repro_slo_burn_rate"
+        and labels.get("endpoint") == "/v1:query"
     ]
     # Subset, not equality: gauge children persist in the process-global
     # registry, so other tests' monitors may have left extra windows.
@@ -618,9 +560,7 @@ def test_observability_can_be_disabled(tiny_net):
     server = start_server(service)
     base = f"http://127.0.0.1:{server.port}"
     try:
-        code, _, headers = _post(
-            base, "/query", {"vertex": 0, "region": [0, 0, 1, 1]}
-        )
+        code, _, headers = _post(base, "/v1", _q(0, [0, 0, 1, 1]))
         # Requests still get ids; the debug surfaces are gone.
         assert code == 200 and headers.get("X-Request-Id")
         assert _get_h(base, "/debug/traces")[0] == 404
@@ -647,14 +587,13 @@ def test_concurrent_requests_keep_traces_apart(server, tiny_net):
         rid = f"concurrent-{index:02d}"
         if index % 3 == 0:
             code, _, _ = _post_h(
-                base, "/batch",
-                {"queries": [[index, region]] * 4},
+                base, "/v1",
+                {"op": "batch", "queries": [[index, region]] * 4},
                 {"X-Request-Id": rid},
             )
         else:
             code, _, _ = _post_h(
-                base, "/query", {"vertex": index, "region": region},
-                {"X-Request-Id": rid},
+                base, "/v1", _q(index, region), {"X-Request-Id": rid},
             )
         outcomes[rid] = code
 
@@ -669,7 +608,9 @@ def test_concurrent_requests_keep_traces_apart(server, tiny_net):
     for index in range(n):
         rid = f"concurrent-{index:02d}"
         entry = _find_trace(base, rid)
-        expected = "/batch" if index % 3 == 0 else "/query"
-        assert entry["endpoint"] == expected, rid
+        assert entry["endpoint"] == "/v1", rid
         assert entry["trace"]["trace_id"] == rid
-        assert entry["trace"]["spans"]["name"] == expected
+        assert entry["trace"]["spans"]["name"] == "/v1"
+        # Batches and single reads stay told apart by their own spans.
+        names = json.dumps(entry["trace"]["spans"])
+        assert ("db.batch" in names) == (index % 3 == 0), rid

@@ -39,9 +39,11 @@ def test_schedule_is_deterministic_and_ordered(tiny_net):
     stages = parse_stages("80x1,160x0.5")
     first = build_schedule(tiny_net, stages, seed=9)
     second = build_schedule(tiny_net, stages, seed=9)
-    assert [(op.at, op.path, op.payload) for op in first.ops] == [
-        (op.at, op.path, op.payload) for op in second.ops
+    assert [(op.at, op.kind, op.payload) for op in first.ops] == [
+        (op.at, op.kind, op.payload) for op in second.ops
     ]
+    # Every request is a /v1 envelope whose op is the schedule's kind.
+    assert all(op.payload["op"] == op.kind for op in first.ops)
     times = [op.at for op in first.ops]
     assert times == sorted(times)
     assert times[-1] < 1.5
@@ -66,7 +68,7 @@ def test_final_network_applies_only_acknowledged_writes(tiny_net):
     rejected_pair = next(non_edges)
 
     def outcome(effect, code=200, body=None):
-        op = _Op(0.0, 0, "write", "/write", {}, effect)
+        op = _Op(0.0, 0, "write", {}, effect)
         return _Outcome(op, code, body or {}, 0.0, 0.0)
 
     outcomes = [
@@ -124,7 +126,7 @@ def test_overload_probe_triggers_429(tiny_net):
     try:
         verdict = overload_probe(
             base, service.max_inflight, network=tiny_net,
-            batch_queries=512, rounds=8,
+            batch_queries=4096, rounds=8,
         )
         assert verdict["rejected"] > 0
         assert verdict["attempted"] >= 4

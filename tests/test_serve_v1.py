@@ -1,11 +1,10 @@
-"""The /v1 unified envelope, strict field validation, and deprecation.
+"""The /v1 unified envelope and its strict field validation.
 
 Covers the versioned query API over both transports (QueryService.v1
 directly and HTTP), the strict-envelope 400s (unknown op/method/field,
 duplicate JSON keys at any depth — all naming the offending fields and
-echoing ``X-Request-Id``), the legacy endpoints' ``Deprecation`` header
-plus ``repro_http_deprecated_requests_total``, and /v1 serving against
-a :class:`~repro.shard.ShardedDatabase` with ``shard_hint`` routing.
+echoing ``X-Request-Id``), and /v1 serving against a
+:class:`~repro.shard.ShardedDatabase` with ``shard_hint`` routing.
 """
 
 import json
@@ -13,7 +12,6 @@ import urllib.error
 import urllib.request
 
 import pytest
-from test_obs_export import parse_exposition
 
 from repro.core import RangeReachOracle
 from repro.datasets import make_network
@@ -265,48 +263,6 @@ def test_v1_validation_errors(server, tiny_net):
         code, body, _ = _post(base, "/v1", payload)
         assert code == 400, payload
         assert needle in body["error"], (payload, body)
-
-
-# ----------------------------------------------------------------------
-# Legacy endpoints: deprecated but unchanged
-# ----------------------------------------------------------------------
-def test_legacy_endpoints_send_deprecation_header(server, tiny_net):
-    _, base = server
-    region = _space_region(tiny_net)
-    code, text = _get(base, "/metrics")
-    _, _, samples = parse_exposition(text)
-    before = {
-        labels["endpoint"]: float(value)
-        for name, labels, value in samples
-        if name == "repro_http_deprecated_requests_total"
-    }
-    legacy = [
-        ("/query", {"vertex": 0, "region": region}),
-        ("/batch", {"queries": [[0, region]]}),
-        ("/write", {"op": "add_user"}),
-    ]
-    for path, payload in legacy:
-        code, _, headers = _post(base, path, payload)
-        assert code == 200
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == '</v1>; rel="successor-version"'
-    # /v1 itself is not deprecated.
-    code, _, headers = _post(
-        base, "/v1", {"op": "query", "vertex": 0, "region": region}
-    )
-    assert code == 200
-    assert headers.get("Deprecation") is None
-    # Each legacy hit lands on the migration counter.
-    code, text = _get(base, "/metrics")
-    assert code == 200
-    _, _, samples = parse_exposition(text)
-    after = {
-        labels["endpoint"]: float(value)
-        for name, labels, value in samples
-        if name == "repro_http_deprecated_requests_total"
-    }
-    for path, _ in legacy:
-        assert after.get(path, 0) == before.get(path, 0) + 1, path
 
 
 # ----------------------------------------------------------------------

@@ -210,6 +210,20 @@ def test_type_checking(db):
         database.range_reach(99, NEAR_V0)
 
 
+def test_tuple_and_list_regions_accepted_uniformly():
+    database = GeosocialDatabase()
+    user = database.add_user()
+    database.add_checkin(user, database.add_venue(0.5, 0.5))
+    for region in (Rect(0, 0, 1, 1), (0, 0, 1, 1), [0, 0, 1, 1]):
+        assert database.range_reach(user, region) is True
+        assert database.count_reachable(user, region) == 1
+        assert database.reachable_venues(user, region) == [1]
+        assert database.reaches_at_least(user, region, 1) is True
+    assert database.range_reach_many(
+        [(user, (0, 0, 1, 1)), (user, Rect(0.6, 0.6, 1, 1))]
+    ) == [True, False]
+
+
 def test_query_without_venues_rejected():
     database = GeosocialDatabase()
     database.add_user()
