@@ -1,12 +1,9 @@
 """Benchmark harness.
 
 Regenerates every table and figure of the paper's evaluation section
-(Section 6) on the synthetic dataset replicas.  Two entry points:
-
-* ``python -m repro.bench <experiment>`` — the CLI (``table3`` ..
-  ``table6``, ``fig5`` .. ``fig7``, ``all``);
-* the ``benchmarks/`` directory — pytest-benchmark wrappers around the
-  same experiment functions.
+(Section 6) on the synthetic dataset replicas.  The ``benchmarks/``
+directory holds the pytest-benchmark wrappers around these experiment
+functions, one ``bench_*.py`` script per table or figure.
 
 Scale and workload sizes are controlled by environment variables:
 ``REPRO_SCALE`` (fraction of the paper's dataset sizes, default 0.002),
@@ -15,29 +12,19 @@ Scale and workload sizes are controlled by environment variables:
 """
 
 from repro.bench.harness import (
-    MethodBundle,
     bench_datasets,
-    bench_num_queries,
-    bench_scale,
-    build_timed,
     get_condensed,
     get_network,
     time_queries,
     time_queries_counted,
-    time_query_batch,
 )
 from repro.bench.tables import format_table
 
 __all__ = [
-    "MethodBundle",
     "bench_datasets",
-    "bench_num_queries",
-    "bench_scale",
-    "build_timed",
     "get_condensed",
     "get_network",
     "time_queries",
     "time_queries_counted",
-    "time_query_batch",
     "format_table",
 ]

@@ -1,8 +1,8 @@
 """Experiment definitions: one function per paper table/figure.
 
 Each ``run_*`` function returns ``(title, headers, rows)`` ready for
-:func:`repro.bench.tables.format_table`; the pytest benchmarks and the
-CLI both call these.  Query times are reported in microseconds — the
+:func:`repro.bench.tables.format_table`; the pytest benchmarks under
+``benchmarks/`` call these.  Query times are reported in microseconds — the
 paper's machine (C++, 5.8 GHz) is roughly two orders of magnitude faster
 than CPython, so compare *ratios between methods*, not absolute values.
 """
@@ -303,45 +303,3 @@ def chart_series(
         for i, name in enumerate(method_names)
     }
     return x_labels, series
-
-
-# ----------------------------------------------------------------------
-# Positive vs negative answers (Section 2.2.3's asymmetry; ours)
-# ----------------------------------------------------------------------
-def run_negsplit(datasets: Sequence[str] | None = None, count: int | None = None):
-    from repro.bench.harness import PAPER_METHODS, get_bundle, time_queries_split
-
-    datasets = datasets or bench_datasets()
-    count = count or bench_num_queries()
-    extent = 1.0  # small extent keeps a healthy share of FALSE answers
-    headers = ["dataset", "method", "positive [us]", "negative [us]", "positives"]
-    rows = []
-    for name in datasets:
-        bundle = get_bundle(name, PAPER_METHODS)
-        batch = get_workload(name).batch_by_extent(extent, DEFAULT_BUCKET, count)
-        for method_name in PAPER_METHODS:
-            split = time_queries_split(bundle[method_name], batch)
-            rows.append([
-                name,
-                method_name,
-                round(us(split.positive_avg), 1) if split.positive_avg else "-",
-                round(us(split.negative_avg), 1) if split.negative_avg else "-",
-                f"{split.positives}/{split.positives + split.negatives}",
-            ])
-    title = (
-        "Positive vs negative RangeReach answers "
-        f"({extent:g}% extent, {count} queries, scale={bench_scale()})"
-    )
-    return title, headers, rows
-
-
-EXPERIMENTS = {
-    "table3": run_table3,
-    "table4": run_table4,
-    "table5": run_table5,
-    "table6": run_table6,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "negsplit": run_negsplit,
-}

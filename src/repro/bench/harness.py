@@ -115,29 +115,6 @@ def time_queries(
     return elapsed / len(queries), positives
 
 
-def time_query_batch(
-    method: RangeReachMethod,
-    queries: Sequence[Query],
-    executor=None,
-) -> tuple[float, int, list[bool]]:
-    """Run a query batch through the batch API (optionally an executor).
-
-    Returns ``(average seconds per query, #TRUE answers, answers)`` —
-    the answers come back so callers can assert parity against the
-    per-query loop of :func:`time_queries`.
-    """
-    if not queries:
-        raise ValueError("empty query batch")
-    pairs = [(query.vertex, query.region) for query in queries]
-    start = time.perf_counter()
-    if executor is not None:
-        answers = executor.run(method, pairs)
-    else:
-        answers = method.query_batch(pairs)
-    elapsed = time.perf_counter() - start
-    return elapsed / len(queries), sum(answers), answers
-
-
 def time_queries_counted(
     method: RangeReachMethod, queries: Sequence[Query]
 ) -> tuple[float, int, dict[str, float]]:
@@ -219,7 +196,6 @@ class MethodBundle:
     dataset: str
     methods: dict[str, RangeReachMethod]
     build_seconds: dict[str, float]
-    context: BuildContext | None = None
 
     def __getitem__(self, name: str) -> RangeReachMethod:
         return self.methods[name]
@@ -277,7 +253,7 @@ def get_bundle(
         method, seconds = build_timed(lambda f=factory: f(condensed, context))
         methods[name] = method
         build_seconds[name] = seconds
-    bundle = MethodBundle(dataset, methods, build_seconds, context=context)
+    bundle = MethodBundle(dataset, methods, build_seconds)
     _BUNDLES[key] = bundle
     return bundle
 

@@ -25,7 +25,9 @@
 Exit codes: 0 success, 2 usage/input error (one line on stderr, never a
 traceback), 3 batch deadline expired.
 
-The benchmark CLI lives separately under ``python -m repro.bench``.
+The paper's tables and figures are regenerated by the ``bench_*.py``
+scripts under ``benchmarks/`` (run with pytest); the end-to-end benchmark
+is ``python benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations

@@ -5,9 +5,7 @@ Split by transport boundary:
 * :mod:`repro.serve.service` — request semantics (admission control,
   query/batch/write handling, drain), no sockets;
 * :mod:`repro.serve.http` — the stdlib ``ThreadingHTTPServer``
-  front-end with graceful SIGTERM drain;
-* :mod:`repro.serve.loadgen` — deterministic open-loop load generation
-  and oracle-backed answer verification.
+  front-end with graceful SIGTERM drain.
 """
 
 from repro.serve.http import QueryHTTPServer, run_server, start_server

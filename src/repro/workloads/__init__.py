@@ -9,9 +9,7 @@ while varying three parameters (Section 6.1):
   fall inside the region.
 
 :class:`QueryWorkload` produces seeded, reproducible batches for all
-three axes.  :class:`MixedWorkload` adds interleaved update/query
-streams for the mutable store (`repro.system`), replayable via
-:func:`replay_ops`.
+three axes.
 """
 
 from repro.workloads.queries import (
@@ -21,24 +19,14 @@ from repro.workloads.queries import (
     Query,
     QueryWorkload,
 )
-from repro.workloads.mixed import (
-    MixedOp,
-    MixedWorkload,
-    MixedWorkloadStats,
-    replay_ops,
-)
 from repro.workloads.persistence import load_workload, save_workload
 
 __all__ = [
     "DEFAULT_DEGREE_BUCKETS",
     "DEFAULT_EXTENTS",
     "DEFAULT_SELECTIVITIES",
-    "MixedOp",
-    "MixedWorkload",
-    "MixedWorkloadStats",
     "Query",
     "QueryWorkload",
     "load_workload",
-    "replay_ops",
     "save_workload",
 ]

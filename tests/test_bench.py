@@ -1,6 +1,4 @@
-"""Unit tests for repro.bench (harness, tables, experiments, CLI)."""
-
-import os
+"""Unit tests for repro.bench (harness, tables, experiments)."""
 
 import pytest
 
@@ -115,37 +113,15 @@ def test_experiments_run_end_to_end(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", str(SMALL))
     monkeypatch.setenv("REPRO_QUERIES", "3")
     monkeypatch.setenv("REPRO_DATASETS", "weeplaces")
-    from repro.bench.experiments import EXPERIMENTS
+    from repro.bench import experiments
 
-    for name, run in EXPERIMENTS.items():
+    for run in (
+        experiments.run_table3, experiments.run_table4,
+        experiments.run_table5, experiments.run_table6,
+        experiments.run_fig5, experiments.run_fig6, experiments.run_fig7,
+    ):
         title, headers, rows = run()
         assert isinstance(title, str)
-        assert name.startswith(("table", "fig", "negsplit"))
-        assert rows, f"{name} produced no rows"
+        assert rows, f"{run.__name__} produced no rows"
         text = format_table(headers, rows, title=title)
         assert title in text
-
-
-def test_cli_main(monkeypatch, capsys):
-    from repro.bench.__main__ import main
-
-    code = main(["table3", "--scale", str(SMALL), "--datasets", "weeplaces"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Table 3" in out
-    assert "weeplaces" in out
-
-
-def test_cli_csv_export(tmp_path, capsys):
-    from repro.bench.__main__ import main
-
-    csv_path = tmp_path / "table3.csv"
-    code = main([
-        "table3", "--scale", str(SMALL), "--datasets", "weeplaces",
-        "--csv", str(csv_path),
-    ])
-    assert code == 0
-    content = csv_path.read_text()
-    assert content.startswith("# Table 3")
-    assert "weeplaces" in content
-    assert "dataset" in content  # header row

@@ -9,6 +9,7 @@ in a subprocess.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -469,12 +470,24 @@ def test_traceparent_sets_the_request_id(server):
 
 
 def test_debug_endpoints_schemas(server):
-    _, base = server
-    code, _, _ = _post_h(
-        base, "/v1", _q(0, [0, 0, 1, 1]),
-        {"X-Request-Id": "debug-ok-1"},
-    )
-    assert code == 200
+    srv, base = server
+    # Time the request on the client up to EOF: the server closes a
+    # ``Connection: close`` socket only after the trace has ended, so the
+    # trace must fit inside this round trip.
+    body = json.dumps(_q(0, [0, 0, 1, 1])).encode()
+    head = (
+        "POST /v1 HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        "Content-Type: application/json\r\nX-Request-Id: debug-ok-1\r\n"
+        f"Connection: close\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode()
+    response = b""
+    start = time.perf_counter()
+    with socket.create_connection(("127.0.0.1", srv.port)) as sock:
+        sock.sendall(head + body)
+        while chunk := sock.recv(65536):
+            response += chunk
+    client_s = time.perf_counter() - start
+    assert response.startswith(b"HTTP/1.1 200 ")
     code, _, _ = _post_h(
         base, "/v1", {"op": "query", "vertex": "bad"},
         {"X-Request-Id": "debug-err-1"},
@@ -486,7 +499,12 @@ def test_debug_endpoints_schemas(server):
     assert entry["duration_s"] > 0
     stages = entry["stages_s"]
     assert {"parse", "admit", "queue.wait", "exec", "encode"} <= set(stages)
+    # The trace fits inside the client's round trip, and its stages
+    # account for the server time.
+    assert entry["duration_s"] <= client_s
+    assert sum(stages.values()) / entry["duration_s"] >= 0.8
     assert entry["trace"]["spans"]["name"] == "/v1"
+    _find_trace(base, "debug-err-1")  # both requests are recorded
     # The overview listing.
     code, text, _ = _get_h(base, "/debug/traces")
     overview = json.loads(text)

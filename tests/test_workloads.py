@@ -8,14 +8,11 @@ from helpers import fig1_network
 from repro.datasets import make_network
 from repro.geosocial import GeosocialNetwork
 from repro.graph import DiGraph
-from repro.system import GeosocialDatabase
 from repro.workloads import (
     DEFAULT_DEGREE_BUCKETS,
     DEFAULT_EXTENTS,
     DEFAULT_SELECTIVITIES,
-    MixedWorkload,
     QueryWorkload,
-    replay_ops,
 )
 
 
@@ -121,43 +118,3 @@ def test_venue_center_mode_regions_contain_points():
     region = workload.region_with_extent(5.0, rng)
     # centered on some venue: region must be inside the space
     assert net.space().intersects(region)
-
-
-# ----------------------------------------------------------------------
-# Mixed update/query workloads
-# ----------------------------------------------------------------------
-def test_mixed_workload_deterministic():
-    def stream(seed):
-        w = MixedWorkload(seed=seed, write_fraction=0.3)
-        return w.bootstrap(20, 20, 40, 40) + w.ops(60)
-
-    assert stream(7) == stream(7)
-    assert stream(7) != stream(8)
-
-
-def test_mixed_workload_replayable_and_equivalent():
-    workload = MixedWorkload(seed=3, write_fraction=0.4, removal_fraction=0.1)
-    ops = workload.bootstrap(25, 25, 60, 60) + workload.ops(80)
-    overlay = GeosocialDatabase(refresh_threshold=16)
-    rebuild = GeosocialDatabase(refresh_threshold=0)
-    assert replay_ops(overlay, ops) == replay_ops(rebuild, ops)
-    stats = MixedWorkload.describe(ops)
-    assert stats.num_queries > 0
-    assert stats.num_writes > 0
-    assert stats.num_ops == len(ops)
-
-
-def test_mixed_workload_validation():
-    with pytest.raises(ValueError):
-        MixedWorkload(write_fraction=1.5)
-    with pytest.raises(ValueError):
-        MixedWorkload(removal_fraction=-0.1)
-    with pytest.raises(ValueError):
-        MixedWorkload(extent_pct=0.0)
-    with pytest.raises(ValueError):
-        MixedWorkload().ops(5)  # not bootstrapped
-
-
-def test_replay_rejects_unknown_ops():
-    with pytest.raises(ValueError, match="unknown op"):
-        replay_ops(GeosocialDatabase(), [("teleport", 1)])
