@@ -3,8 +3,6 @@
 ``GReach(G, v, u)`` baselines used by the spatial-first methods:
 
 * :class:`BfsReach` — no index, plain BFS (the correctness reference);
-* :class:`TransitiveClosureReach` — full TC bitsets, O(1) queries
-  (ground truth for tests, impractical at scale, as the paper notes);
 * :class:`BflReach` — Bloom-Filter Labeling (Su et al. 2017), the
   reachability index behind SpaReach-BFL;
 * :class:`IntervalReach` — adapter exposing the paper's interval-based
@@ -23,7 +21,6 @@ inside :class:`repro.core.SpaReach`.
 
 from repro.reach.base import ReachabilityIndex
 from repro.reach.bfs import BfsReach
-from repro.reach.transitive_closure import TransitiveClosureReach
 from repro.reach.bfl import BflReach
 from repro.reach.chain_cover import ChainCoverReach
 from repro.reach.feline import FelineReach
@@ -34,7 +31,6 @@ from repro.reach.grail import GrailReach
 __all__ = [
     "ReachabilityIndex",
     "BfsReach",
-    "TransitiveClosureReach",
     "BflReach",
     "ChainCoverReach",
     "FelineReach",

@@ -29,16 +29,6 @@ class LinearScanIndex:
         index._entries = list(entries)
         return index
 
-    def insert(self, bounds: Bounds, item: Any) -> None:
-        if len(bounds) != 2 * self._dims:
-            raise ValueError(
-                f"bounds must have {2 * self._dims} values, got {len(bounds)}"
-            )
-        self._entries.append((bounds, item))
-
-    def insert_point(self, coords, item: Any) -> None:
-        self.insert(tuple(coords) + tuple(coords), item)
-
     def search(self, query: Bounds) -> Iterator[Any]:
         """Yield every item whose bounds intersect ``query``."""
         dims = self._dims

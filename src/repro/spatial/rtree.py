@@ -1,13 +1,15 @@
-"""A generic k-dimensional R-tree.
+"""A generic k-dimensional, bulk-loaded R-tree.
 
 Bounds are flat tuples ``(lo_0, ..., lo_{d-1}, hi_0, ..., hi_{d-1})``;
-points are stored as degenerate boxes.  The tree supports:
+points are stored as degenerate boxes.  The tree is static, like the
+paper's offline index construction:
 
-* sort-tile-recursive (STR) bulk loading — how every RangeReach index is
-  built in the benchmarks, matching the paper's offline construction;
-* quadratic-split insertion (Guttman) for incremental updates;
+* sort-tile-recursive (STR) bulk loading is the only way to build one —
+  writes ride the database's delta overlay and a rebuild re-bulk-loads;
 * full range enumeration plus an early-terminating *exists* search, which
-  is what RangeReach actually needs ("is there at least one result?").
+  is what RangeReach actually needs ("is there at least one result?");
+* a flat preorder form (:meth:`RTree.flatten` / :meth:`RTree.from_flat`)
+  for the snapshot store.
 
 Dimensions 2 and 3 are exercised by the library (SpaReach and 3DReach),
 but the implementation is dimension-generic.
@@ -15,10 +17,9 @@ but the implementation is dimension-generic.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
@@ -42,27 +43,6 @@ def bounds_contain(outer: Bounds, inner: Bounds, dims: int) -> bool:
     return True
 
 
-def bounds_union(a: Bounds, b: Bounds, dims: int) -> Bounds:
-    """Return the smallest box enclosing both operands."""
-    return tuple(
-        [min(a[i], b[i]) for i in range(dims)]
-        + [max(a[dims + i], b[dims + i]) for i in range(dims)]
-    )
-
-
-def bounds_margin(a: Bounds, dims: int) -> float:
-    """Return the sum of side lengths (used by the quadratic split)."""
-    return sum(a[dims + i] - a[i] for i in range(dims))
-
-
-def bounds_volume(a: Bounds, dims: int) -> float:
-    """Return the k-dimensional volume of the box."""
-    volume = 1.0
-    for i in range(dims):
-        volume *= a[dims + i] - a[i]
-    return volume
-
-
 def _union_many(items: Sequence[Bounds], dims: int) -> Bounds:
     lows = [min(b[i] for b in items) for i in range(dims)]
     highs = [max(b[dims + i] for b in items) for i in range(dims)]
@@ -73,19 +53,6 @@ class _Node:
     """An R-tree node; leaves hold ``(bounds, item)``, inner nodes hold children."""
 
     __slots__ = ("is_leaf", "bounds", "entries", "children")
-
-    def __init__(self, is_leaf: bool) -> None:
-        self.is_leaf = is_leaf
-        self.bounds: Bounds | None = None
-        self.entries: list[tuple[Bounds, Any]] = [] if is_leaf else None
-        self.children: list["_Node"] = None if is_leaf else []
-
-    def recompute_bounds(self, dims: int) -> None:
-        if self.is_leaf:
-            boxes = [b for b, _ in self.entries]
-        else:
-            boxes = [c.bounds for c in self.children]
-        self.bounds = _union_many(boxes, dims) if boxes else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,27 +71,20 @@ class RTreeStats:
 
 
 class RTree:
-    """A k-dimensional R-tree over ``(bounds, item)`` entries.
+    """A static k-dimensional R-tree over ``(bounds, item)`` entries.
 
-    ``split`` selects the overflow policy: Guttman's ``"quadratic"``
-    (default) or the R*-tree's margin/overlap-driven ``"rstar"`` split
-    (Beckmann et al.), the popular variant the paper's related work
-    mentions.  Bulk loading (STR) is unaffected by the choice.
+    Build one with :meth:`bulk_load` (or :meth:`from_flat` from a
+    snapshot); ``RTree(dims, capacity)`` alone is the empty tree.  Every
+    node is non-empty, so every node has bounds.
     """
 
-    def __init__(
-        self, dims: int = 2, capacity: int = 16, split: str = "quadratic"
-    ) -> None:
+    def __init__(self, dims: int = 2, capacity: int = 16) -> None:
         if dims < 1:
             raise ValueError("dims must be positive")
         if capacity < 2:
             raise ValueError("node capacity must be at least 2")
-        if split not in ("quadratic", "rstar"):
-            raise ValueError("split must be 'quadratic' or 'rstar'")
         self._dims = dims
         self._capacity = capacity
-        self._split_policy = split
-        self._min_fill = max(1, capacity * 2 // 5)
         self._root: _Node | None = None
         self._size = 0
 
@@ -148,193 +108,18 @@ class RTree:
         tree._size = len(items)
         if not items:
             return tree
-        leaves = [
-            tree._make_leaf(group)
-            for group in _str_partition(items, capacity, dims, key_offset=0)
+        level = [
+            _make_node(group, dims, is_leaf=True)
+            for group in _str_partition(items, capacity, dims)
         ]
-        level = leaves
         while len(level) > 1:
             pseudo = [(node.bounds, node) for node in level]
             level = [
-                tree._make_inner([node for _, node in group])
-                for group in _str_partition(pseudo, capacity, dims, key_offset=0)
+                _make_node(group, dims, is_leaf=False)
+                for group in _str_partition(pseudo, capacity, dims)
             ]
         tree._root = level[0]
         return tree
-
-    @classmethod
-    def from_points(
-        cls,
-        points: Iterable[tuple[Sequence[float], Any]],
-        dims: int = 2,
-        capacity: int = 16,
-    ) -> "RTree":
-        """Bulk-load from ``(coordinates, item)`` pairs (degenerate boxes)."""
-        entries = [
-            (tuple(coords) + tuple(coords), item) for coords, item in points
-        ]
-        return cls.bulk_load(entries, dims=dims, capacity=capacity)
-
-    def _make_leaf(self, group: list[tuple[Bounds, Any]]) -> _Node:
-        node = _Node(is_leaf=True)
-        node.entries = list(group)
-        node.recompute_bounds(self._dims)
-        return node
-
-    def _make_inner(self, children: list[_Node]) -> _Node:
-        node = _Node(is_leaf=False)
-        node.children = children
-        node.recompute_bounds(self._dims)
-        return node
-
-    # ------------------------------------------------------------------
-    # Insertion (Guttman, quadratic split)
-    # ------------------------------------------------------------------
-    def insert(self, bounds: Bounds, item: Any) -> None:
-        """Insert one entry; splits overflowing nodes quadratically."""
-        if len(bounds) != 2 * self._dims:
-            raise ValueError(
-                f"bounds must have {2 * self._dims} values, got {len(bounds)}"
-            )
-        self._size += 1
-        if self._root is None:
-            self._root = self._make_leaf([(bounds, item)])
-            return
-        split = self._insert_into(self._root, bounds, item)
-        if split is not None:
-            self._root = self._make_inner([self._root, split])
-
-    def insert_point(self, coords: Sequence[float], item: Any) -> None:
-        """Insert a point entry (degenerate box)."""
-        self.insert(tuple(coords) + tuple(coords), item)
-
-    def _insert_into(self, node: _Node, bounds: Bounds, item: Any) -> _Node | None:
-        dims = self._dims
-        if node.is_leaf:
-            node.entries.append((bounds, item))
-            node.bounds = (
-                bounds if node.bounds is None
-                else bounds_union(node.bounds, bounds, dims)
-            )
-            if len(node.entries) > self._capacity:
-                return self._split_leaf(node)
-            return None
-        child = self._choose_subtree(node, bounds)
-        split = self._insert_into(child, bounds, item)
-        node.bounds = bounds_union(node.bounds, bounds, dims)
-        if split is not None:
-            node.children.append(split)
-            node.bounds = bounds_union(node.bounds, split.bounds, dims)
-            if len(node.children) > self._capacity:
-                return self._split_inner(node)
-        return None
-
-    def _choose_subtree(self, node: _Node, bounds: Bounds) -> _Node:
-        # Volume enlargement alone degenerates on point-heavy workloads:
-        # collinear or coordinate-sharing entries make every volume 0, so
-        # the choice falls through to margin (perimeter) enlargement, which
-        # stays discriminating for degenerate boxes.
-        dims = self._dims
-        best: _Node | None = None
-        best_key: tuple[float, float, float, float] | None = None
-        for child in node.children:
-            volume = bounds_volume(child.bounds, dims)
-            margin = bounds_margin(child.bounds, dims)
-            union = bounds_union(child.bounds, bounds, dims)
-            key = (
-                bounds_volume(union, dims) - volume,
-                bounds_margin(union, dims) - margin,
-                volume,
-                margin,
-            )
-            if best_key is None or key < best_key:
-                best = child
-                best_key = key
-        assert best is not None
-        return best
-
-    def _split_entries(self, items: list, get_bounds):
-        if self._split_policy == "rstar":
-            return _rstar_split(items, get_bounds, self._dims, self._min_fill)
-        return _quadratic_split(items, get_bounds, self._dims, self._min_fill)
-
-    def _split_leaf(self, node: _Node) -> _Node:
-        group_a, group_b = self._split_entries(node.entries, lambda e: e[0])
-        node.entries = group_a
-        node.recompute_bounds(self._dims)
-        sibling = _Node(is_leaf=True)
-        sibling.entries = group_b
-        sibling.recompute_bounds(self._dims)
-        return sibling
-
-    def _split_inner(self, node: _Node) -> _Node:
-        group_a, group_b = self._split_entries(node.children, lambda c: c.bounds)
-        node.children = group_a
-        node.recompute_bounds(self._dims)
-        sibling = _Node(is_leaf=False)
-        sibling.children = group_b
-        sibling.recompute_bounds(self._dims)
-        return sibling
-
-    # ------------------------------------------------------------------
-    # Deletion (find leaf, remove, condense-tree with reinsertion)
-    # ------------------------------------------------------------------
-    def delete(self, bounds: Bounds, item: Any) -> bool:
-        """Remove one entry matching ``(bounds, item)``.
-
-        Returns True iff an entry was removed.  Underflowing nodes are
-        dissolved and their surviving entries reinserted (Guttman's
-        condense-tree), so the tree stays balanced under churn.
-        """
-        if self._root is None:
-            return False
-        dims = self._dims
-        orphans: list[tuple[Bounds, Any]] = []
-
-        def remove_from(node: _Node) -> bool:
-            if node.is_leaf:
-                for i, (b, it) in enumerate(node.entries):
-                    if it == item and b == bounds:
-                        node.entries.pop(i)
-                        node.recompute_bounds(dims)
-                        return True
-                return False
-            for child in node.children:
-                if child.bounds is not None and bounds_contain(
-                    child.bounds, bounds, dims
-                ):
-                    if remove_from(child):
-                        if (
-                            (child.is_leaf and len(child.entries) < self._min_fill)
-                            or (not child.is_leaf and len(child.children) < 2)
-                        ):
-                            node.children.remove(child)
-                            orphans.extend(_collect_entries(child))
-                        node.recompute_bounds(dims)
-                        return True
-            return False
-
-        if not remove_from(self._root):
-            return False
-        self._size -= 1
-        # Normalize the root *before* reinsertion: shrink a root that lost
-        # all but one child, and drop an emptied leaf root unconditionally
-        # (insert() rebuilds from None), so no empty leaf can survive as
-        # the root while orphans are pending and show up in stats().
-        while (
-            not self._root.is_leaf and len(self._root.children) == 1
-        ):
-            self._root = self._root.children[0]
-        if self._root.is_leaf and not self._root.entries:
-            self._root = None
-        self._size -= len(orphans)
-        for orphan_bounds, orphan_item in orphans:
-            self.insert(orphan_bounds, orphan_item)
-        return True
-
-    def delete_point(self, coords: Sequence[float], item: Any) -> bool:
-        """Remove a point entry (degenerate box)."""
-        return self.delete(tuple(coords) + tuple(coords), item)
 
     # ------------------------------------------------------------------
     # Queries
@@ -359,9 +144,7 @@ class RTree:
             while stack:
                 node = stack.pop()
                 nodes += 1
-                if node.bounds is None or not bounds_intersect(
-                    node.bounds, query, dims
-                ):
+                if not bounds_intersect(node.bounds, query, dims):
                     continue
                 if node.is_leaf:
                     leaves += 1
@@ -396,87 +179,6 @@ class RTree:
         """Return the number of items intersecting ``query``."""
         return sum(1 for _ in self.search(query))
 
-    def nearest(
-        self,
-        coords: Sequence[float],
-        k: int = 1,
-        item_filter: Callable[[Any], bool] | None = None,
-    ) -> list[tuple[float, Any]]:
-        """Return the ``k`` entries nearest to ``coords`` (best-first).
-
-        Classic incremental nearest-neighbor over the R-tree: a priority
-        queue ordered by MINDIST expands the most promising node first,
-        so the search touches only the neighborhood of the query point.
-        Returns ``(distance, item)`` pairs, nearest first; distance to a
-        box is the distance to its closest face (0 if inside).
-
-        Args:
-            coords: query point, one value per dimension.
-            k: how many neighbors.
-            item_filter: optional predicate; entries failing it are
-                skipped (but still guide the traversal).
-        """
-        if len(coords) != self._dims:
-            raise ValueError(f"query point must have {self._dims} coordinates")
-        if k < 1:
-            raise ValueError("k must be positive")
-        if self._root is None:
-            return []
-        dims = self._dims
-
-        def mindist(bounds: Bounds) -> float:
-            total = 0.0
-            for i in range(dims):
-                c = coords[i]
-                if c < bounds[i]:
-                    d = bounds[i] - c
-                elif c > bounds[dims + i]:
-                    d = c - bounds[dims + i]
-                else:
-                    continue
-                total += d * d
-            return math.sqrt(total)
-
-        results: list[tuple[float, Any]] = []
-        nodes = leaves = items = 0
-        counter = 0  # tie-breaker: Python can't compare nodes/items
-        heap: list[tuple[float, int, bool, Any]] = [
-            (mindist(self._root.bounds), counter, False, self._root)
-        ]
-        while heap:
-            distance, _, is_entry, payload = heapq.heappop(heap)
-            if len(results) == k and distance > results[-1][0]:
-                break
-            if is_entry:
-                results.append((distance, payload))
-                results.sort(key=lambda pair: pair[0])
-                if len(results) > k:
-                    results.pop()
-            elif payload.is_leaf:
-                nodes += 1
-                leaves += 1
-                for bounds, item in payload.entries:
-                    if item_filter is not None and not item_filter(item):
-                        continue
-                    counter += 1
-                    items += 1
-                    heapq.heappush(
-                        heap, (mindist(bounds), counter, True, item)
-                    )
-            else:
-                nodes += 1
-                for child in payload.children:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (mindist(child.bounds), counter, False, child)
-                    )
-        if _obs_enabled():
-            _inst.RTREE_SEARCHES.inc()
-            _inst.RTREE_NODES_VISITED.inc(nodes)
-            _inst.RTREE_LEAVES_SCANNED.inc(leaves)
-            _inst.RTREE_ITEMS_TESTED.inc(items)
-        return results
-
     # ------------------------------------------------------------------
     # Flattened form (persistence)
     # ------------------------------------------------------------------
@@ -500,15 +202,9 @@ class RTree:
         entry_bounds = array("d")
         entry_items = array("q")
 
-        width = 2 * self._dims
-
         def visit(node: _Node) -> None:
             node_kinds.append(1 if node.is_leaf else 0)
-            # Only an emptied root leaf has no bounds; store zeros and
-            # restore None from the zero entry count on rebuild.
-            node_bounds.extend(
-                node.bounds if node.bounds is not None else (0.0,) * width
-            )
+            node_bounds.extend(node.bounds)
             if node.is_leaf:
                 child_counts.append(0)
                 entry_counts.append(len(node.entries))
@@ -531,7 +227,6 @@ class RTree:
         return {
             "dims": self._dims,
             "capacity": self._capacity,
-            "split": self._split_policy,
             "size": self._size,
             "node_kinds": node_kinds,
             "child_counts": child_counts,
@@ -547,7 +242,6 @@ class RTree:
         *,
         dims: int,
         capacity: int,
-        split: str,
         size: int,
         node_kinds: Sequence[int],
         child_counts: Sequence[int],
@@ -559,9 +253,10 @@ class RTree:
         """Rebuild a tree from :meth:`flatten` arrays.
 
         Raises ``ValueError`` when the arrays are structurally
-        inconsistent (wrong lengths, dangling cursors, bad counts).
+        inconsistent (wrong lengths, dangling cursors, bad counts, an
+        empty node).
         """
-        tree = cls(dims=dims, capacity=capacity, split=split)
+        tree = cls(dims=dims, capacity=capacity)
         num_nodes = len(node_kinds)
         if len(child_counts) != num_nodes or len(entry_counts) != num_nodes:
             raise ValueError("flattened node arrays disagree in length")
@@ -592,10 +287,7 @@ class RTree:
 
         # Iterative pre-order reconstruction.  ``stack`` holds the inner
         # nodes still owed children; nodes were flattened parent-first, so
-        # each new node attaches to the deepest unsatisfied parent.  The
-        # nodes come from checksummed snapshot payloads, so construction
-        # bypasses ``_Node.__init__`` and assigns the slots directly.
-        new = _Node.__new__
+        # each new node attaches to the deepest unsatisfied parent.
         entry_cursor = 0
         root = None
         stack: list[tuple[_Node, int]] = []  # (inner node, children owed)
@@ -605,14 +297,16 @@ class RTree:
                     f"{num_nodes - i} flattened nodes unreachable from the "
                     "root"
                 )
-            node = new(_Node)
+            node = _Node()
             if node_kinds[i]:
+                if entry_counts[i] < 1:
+                    raise ValueError("flattened leaf has no entries")
                 node.is_leaf = True
                 node.children = None
                 e = entry_cursor
                 entry_cursor = e + entry_counts[i]
                 node.entries = entries[e:entry_cursor]
-                node.bounds = per_node_bounds[i] if node.entries else None
+                node.bounds = per_node_bounds[i]
             else:
                 count = child_counts[i]
                 if count < 1:
@@ -685,7 +379,8 @@ class RTree:
     def check_invariants(self) -> None:
         """Validate structural invariants; raises AssertionError on failure.
 
-        Used by the property-based tests after random insert workloads.
+        Used by the property-based tests after ``bulk_load`` and after a
+        ``flatten`` / ``from_flat`` round trip.
         """
         if self._root is None:
             assert self._size == 0
@@ -710,27 +405,27 @@ class RTree:
         assert len(leaf_depths) == 1, f"leaves at multiple depths: {leaf_depths}"
 
 
-def _collect_entries(node: _Node) -> list[tuple[Bounds, Any]]:
-    """Gather every leaf entry under a node (for reinsertion)."""
-    out: list[tuple[Bounds, Any]] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            out.extend(current.entries)
-        else:
-            stack.extend(current.children)
-    return out
+# ----------------------------------------------------------------------
+# Packing helpers
+# ----------------------------------------------------------------------
+def _make_node(group: list[tuple[Bounds, Any]], dims: int, is_leaf: bool) -> _Node:
+    """Pack one STR group of ``(bounds, entry-or-child)`` pairs into a node."""
+    node = _Node()
+    node.is_leaf = is_leaf
+    node.bounds = _union_many([b for b, _ in group], dims)
+    if is_leaf:
+        node.entries = group
+        node.children = None
+    else:
+        node.entries = None
+        node.children = [child for _, child in group]
+    return node
 
 
-# ----------------------------------------------------------------------
-# Packing / splitting helpers
-# ----------------------------------------------------------------------
 def _str_partition(
     entries: list[tuple[Bounds, Any]],
     capacity: int,
     dims: int,
-    key_offset: int,
 ) -> list[list[tuple[Bounds, Any]]]:
     """Partition entries into groups of <= capacity via sort-tile-recursive."""
 
@@ -754,118 +449,4 @@ def _str_partition(
             groups.extend(tile(block[i : i + slab_size], axis + 1))
         return groups
 
-    return tile(list(entries), key_offset)
-
-
-def _overlap_volume(a: Bounds, b: Bounds, dims: int) -> float:
-    """Volume of the intersection of two boxes (0 when disjoint)."""
-    volume = 1.0
-    for i in range(dims):
-        lo = max(a[i], b[i])
-        hi = min(a[dims + i], b[dims + i])
-        if hi <= lo:
-            return 0.0
-        volume *= hi - lo
-    return volume
-
-
-def _rstar_split(items: list, get_bounds, dims: int, min_fill: int):
-    """R*-tree split: choose the axis with minimal margin sum, then the
-    distribution along it with minimal overlap (ties: minimal volume)."""
-    assert len(items) >= 2
-    min_fill = max(1, min_fill)
-    best_axis = 0
-    best_margin = math.inf
-    for axis in range(dims):
-        margin_sum = 0.0
-        ordered = sorted(items, key=lambda it: (
-            get_bounds(it)[axis], get_bounds(it)[dims + axis]
-        ))
-        for k in range(min_fill, len(ordered) - min_fill + 1):
-            left = _union_many([get_bounds(it) for it in ordered[:k]], dims)
-            right = _union_many([get_bounds(it) for it in ordered[k:]], dims)
-            margin_sum += bounds_margin(left, dims) + bounds_margin(right, dims)
-        if margin_sum < best_margin:
-            best_margin = margin_sum
-            best_axis = axis
-    ordered = sorted(items, key=lambda it: (
-        get_bounds(it)[best_axis], get_bounds(it)[dims + best_axis]
-    ))
-    best_k = min_fill
-    best_score = (math.inf, math.inf)
-    for k in range(min_fill, len(ordered) - min_fill + 1):
-        left = _union_many([get_bounds(it) for it in ordered[:k]], dims)
-        right = _union_many([get_bounds(it) for it in ordered[k:]], dims)
-        score = (
-            _overlap_volume(left, right, dims),
-            bounds_volume(left, dims) + bounds_volume(right, dims),
-        )
-        if score < best_score:
-            best_score = score
-            best_k = k
-    return ordered[:best_k], ordered[best_k:]
-
-
-def _quadratic_split(items: list, get_bounds, dims: int, min_fill: int):
-    """Guttman's quadratic split: returns the two groups.
-
-    Waste and growth compare ``(volume, margin)`` lexicographically: on
-    point datasets with shared coordinates (collinear venues, grid-aligned
-    check-ins) every volume is 0 and a volume-only comparison degenerates
-    to "always pick the first pair", so margin breaks those ties.
-    """
-    assert len(items) >= 2
-    # Pick the pair of seeds wasting the most (volume, margin) if grouped.
-    worst = (-math.inf, -math.inf)
-    seed_a = seed_b = 0
-    for i in range(len(items)):
-        bi = get_bounds(items[i])
-        for j in range(i + 1, len(items)):
-            bj = get_bounds(items[j])
-            union = bounds_union(bi, bj, dims)
-            waste = (
-                bounds_volume(union, dims)
-                - bounds_volume(bi, dims)
-                - bounds_volume(bj, dims),
-                bounds_margin(union, dims)
-                - bounds_margin(bi, dims)
-                - bounds_margin(bj, dims),
-            )
-            if waste > worst:
-                worst = waste
-                seed_a, seed_b = i, j
-    group_a = [items[seed_a]]
-    group_b = [items[seed_b]]
-    bounds_a = get_bounds(items[seed_a])
-    bounds_b = get_bounds(items[seed_b])
-    rest = [it for k, it in enumerate(items) if k not in (seed_a, seed_b)]
-    for idx, item in enumerate(rest):
-        remaining = len(rest) - idx
-        # Force assignment when a group must absorb all leftovers to
-        # reach the minimum fill.
-        if len(group_a) + remaining <= min_fill:
-            group_a.append(item)
-            bounds_a = bounds_union(bounds_a, get_bounds(item), dims)
-            continue
-        if len(group_b) + remaining <= min_fill:
-            group_b.append(item)
-            bounds_b = bounds_union(bounds_b, get_bounds(item), dims)
-            continue
-        b = get_bounds(item)
-        union_a = bounds_union(bounds_a, b, dims)
-        union_b = bounds_union(bounds_b, b, dims)
-        grow_a = (
-            bounds_volume(union_a, dims) - bounds_volume(bounds_a, dims),
-            bounds_margin(union_a, dims) - bounds_margin(bounds_a, dims),
-        )
-        grow_b = (
-            bounds_volume(union_b, dims) - bounds_volume(bounds_b, dims),
-            bounds_margin(union_b, dims) - bounds_margin(bounds_b, dims),
-        )
-        if grow_a < grow_b or (grow_a == grow_b and len(group_a) <= len(group_b)):
-            group_a.append(item)
-            bounds_a = union_a
-        else:
-            group_b.append(item)
-            bounds_b = union_b
-    return group_a, group_b
+    return tile(list(entries), 0)

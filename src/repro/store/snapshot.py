@@ -338,29 +338,18 @@ def _decode_feed(fields: dict) -> list:
 
 
 def _encode_rtree(rtree) -> dict:
-    flat = rtree.flatten()
-    return {
-        "dims": flat["dims"],
-        "capacity": flat["capacity"],
-        "split": flat["split"],
-        "size": flat["size"],
-        "node_kinds": flat["node_kinds"],
-        "child_counts": flat["child_counts"],
-        "entry_counts": flat["entry_counts"],
-        "node_bounds": flat["node_bounds"],
-        "entry_bounds": flat["entry_bounds"],
-        "entry_items": flat["entry_items"],
-    }
+    return rtree.flatten()
 
 
 def _decode_rtree(fields: dict):
+    # Version-1 parts written before the tree became bulk-load-only also
+    # carry a ``"split"`` string; it is ignored.
     from repro.spatial import RTree
 
     try:
         return RTree.from_flat(
             dims=require(fields, "dims", int),
             capacity=require(fields, "capacity", int),
-            split=require(fields, "split", str),
             size=require(fields, "size", int),
             node_kinds=require(fields, "node_kinds", array),
             child_counts=require(fields, "child_counts", array),

@@ -15,13 +15,11 @@ from repro.reach import (
     GrailReach,
     IntervalReach,
     PllReach,
-    TransitiveClosureReach,
 )
 from repro.reach.base import ReachabilityIndex
 
 ALL_INDEXES = [
     BfsReach,
-    TransitiveClosureReach,
     BflReach,
     IntervalReach,
     PllReach,
@@ -86,9 +84,7 @@ def test_disconnected_graph(factory):
 
 
 @pytest.mark.parametrize(
-    "factory",
-    [TransitiveClosureReach, BflReach, IntervalReach, PllReach, GrailReach,
-     FelineReach],
+    "factory", [BflReach, IntervalReach, PllReach, GrailReach, FelineReach]
 )
 def test_size_bytes_positive(factory):
     g = random_dag(random.Random(2), 30, 0.1)
@@ -102,20 +98,6 @@ def test_bfs_reach_reports_zero_size():
 # ----------------------------------------------------------------------
 # Index-specific behaviour
 # ----------------------------------------------------------------------
-def test_tc_descendants():
-    g = DiGraph.from_edges(4, [(0, 1), (1, 2)])
-    tc = TransitiveClosureReach(g)
-    assert tc.descendants(0) == [0, 1, 2]
-    assert tc.num_descendants(0) == 3
-    assert tc.descendants(3) == [3]
-
-
-def test_tc_rejects_cyclic_graph():
-    g = DiGraph.from_edges(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        TransitiveClosureReach(g)
-
-
 def test_bfl_filter_bits_validation():
     with pytest.raises(ValueError):
         BflReach(DiGraph(1), filter_bits=4)

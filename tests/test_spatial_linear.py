@@ -12,10 +12,10 @@ def test_empty_index():
     assert index.any_intersecting((0, 0, 1, 1)) is None
 
 
-def test_insert_and_search():
-    index = LinearScanIndex(dims=2)
-    index.insert_point((0.5, 0.5), "a")
-    index.insert((0.9, 0.9, 1.5, 1.5), "b")
+def test_search_points_and_boxes():
+    index = LinearScanIndex.bulk_load(
+        [((0.5, 0.5, 0.5, 0.5), "a"), ((0.9, 0.9, 1.5, 1.5), "b")], dims=2
+    )
     assert index.search_all((0, 0, 1, 1)) == ["a", "b"]
     assert index.search_all((1.2, 1.2, 2, 2)) == ["b"]
     assert index.count_intersecting((0, 0, 2, 2)) == 2
@@ -31,6 +31,3 @@ def test_bulk_load():
 def test_dims_validation():
     with pytest.raises(ValueError):
         LinearScanIndex(dims=0)
-    index = LinearScanIndex(dims=3)
-    with pytest.raises(ValueError):
-        index.insert((0, 0, 1, 1), "2d bounds in 3d index")

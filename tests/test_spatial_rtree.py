@@ -5,13 +5,7 @@ import random
 import pytest
 
 from repro.spatial import LinearScanIndex, RTree
-from repro.spatial.rtree import (
-    bounds_contain,
-    bounds_intersect,
-    bounds_margin,
-    bounds_union,
-    bounds_volume,
-)
+from repro.spatial.rtree import bounds_contain, bounds_intersect
 
 
 def random_points(rng, n, dims=2):
@@ -39,14 +33,6 @@ def test_bounds_contain():
     assert not bounds_contain(outer, (1, 1, 1, 5, 2, 2), 3)
 
 
-def test_bounds_union_volume_margin():
-    a, b = (0, 0, 1, 1), (2, 2, 3, 4)
-    u = bounds_union(a, b, 2)
-    assert u == (0, 0, 3, 4)
-    assert bounds_volume(u, 2) == 12
-    assert bounds_margin(u, 2) == 7
-
-
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
@@ -69,9 +55,8 @@ def test_invalid_parameters():
         RTree(dims=0)
     with pytest.raises(ValueError):
         RTree(capacity=1)
-    tree = RTree(dims=2)
-    with pytest.raises(ValueError):
-        tree.insert((0, 0, 1), "short bounds")
+    with pytest.raises(TypeError):
+        RTree(dims=2, capacity=16, split="rstar")
 
 
 def test_bulk_load_single_item():
@@ -90,28 +75,17 @@ def test_bulk_load_respects_capacity():
     assert stats.height >= 2
 
 
-def test_from_points_constructor():
-    tree = RTree.from_points([((0.5, 0.5), "mid")], dims=2)
-    assert tree.search_all((0, 0, 1, 1)) == ["mid"]
-
-
 # ----------------------------------------------------------------------
 # Queries vs. linear scan reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dims", [2, 3])
-@pytest.mark.parametrize("loader", ["bulk", "insert"])
-def test_range_query_matches_linear_scan(dims, loader):
+def test_range_query_matches_linear_scan(dims):
     rng = random.Random(42 + dims)
     entries = [
         (point_bounds(p), i)
         for i, p in enumerate(random_points(rng, 300, dims))
     ]
-    if loader == "bulk":
-        tree = RTree.bulk_load(entries, dims=dims, capacity=8)
-    else:
-        tree = RTree(dims=dims, capacity=8)
-        for bounds, item in entries:
-            tree.insert(bounds, item)
+    tree = RTree.bulk_load(entries, dims=dims, capacity=8)
     tree.check_invariants()
     reference = LinearScanIndex.bulk_load(entries, dims=dims)
     for _ in range(40):
@@ -156,339 +130,6 @@ def test_items_iterates_everything():
     entries = [(point_bounds((i, i)), i) for i in range(37)]
     tree = RTree.bulk_load(entries, dims=2, capacity=4)
     assert sorted(item for _, item in tree.items()) == list(range(37))
-
-
-# ----------------------------------------------------------------------
-# Insertion and splits
-# ----------------------------------------------------------------------
-def test_insert_grows_and_splits():
-    rng = random.Random(3)
-    tree = RTree(dims=2, capacity=4)
-    for i, p in enumerate(random_points(rng, 200)):
-        tree.insert_point(p, i)
-        if i % 50 == 0:
-            tree.check_invariants()
-    tree.check_invariants()
-    assert len(tree) == 200
-    assert tree.stats().height >= 3
-
-
-def test_insert_duplicate_points():
-    tree = RTree(dims=2, capacity=4)
-    for i in range(50):
-        tree.insert_point((0.5, 0.5), i)
-    tree.check_invariants()
-    assert sorted(tree.search_all((0.5, 0.5, 0.5, 0.5))) == list(range(50))
-
-
-def test_mixed_bulk_then_insert():
-    rng = random.Random(9)
-    entries = [(point_bounds(p), i) for i, p in enumerate(random_points(rng, 100))]
-    tree = RTree.bulk_load(entries, dims=2, capacity=8)
-    for i, p in enumerate(random_points(rng, 100)):
-        tree.insert_point(p, 100 + i)
-    tree.check_invariants()
-    assert len(tree) == 200
-    assert tree.count_intersecting((0, 0, 1, 1)) == 200
-
-
-def test_invalid_split_policy():
-    with pytest.raises(ValueError):
-        RTree(split="banana")
-
-
-@pytest.mark.parametrize("split", ["quadratic", "rstar"])
-def test_split_policies_stay_correct(split):
-    rng = random.Random(31)
-    tree = RTree(dims=2, capacity=6, split=split)
-    reference = LinearScanIndex(dims=2)
-    for i, p in enumerate(random_points(rng, 250)):
-        tree.insert_point(p, i)
-        reference.insert_point(p, i)
-    tree.check_invariants()
-    for _ in range(25):
-        x, y = rng.random() * 0.8, rng.random() * 0.8
-        query = (x, y, x + 0.25, y + 0.25)
-        assert sorted(tree.search_all(query)) == sorted(
-            reference.search_all(query)
-        )
-
-
-def test_rstar_split_boxes():
-    rng = random.Random(32)
-    tree = RTree(dims=3, capacity=5, split="rstar")
-    reference = LinearScanIndex(dims=3)
-    for i in range(150):
-        lows = [rng.random() for _ in range(3)]
-        bounds = tuple(lows) + tuple(lo + rng.random() * 0.1 for lo in lows)
-        tree.insert(bounds, i)
-        reference.insert(bounds, i)
-    tree.check_invariants()
-    query = (0.2, 0.2, 0.2, 0.6, 0.6, 0.6)
-    assert sorted(tree.search_all(query)) == sorted(reference.search_all(query))
-
-
-class _VolumeOnlyRTree(RTree):
-    """The pre-fix split behavior: volume comparisons only.
-
-    On datasets where box volumes tie at zero (collinear points,
-    coordinate-sharing venues), seed picking always selects the first
-    pair and subtree choice is arbitrary — kept here as the degenerate
-    reference the margin fallback must beat.
-    """
-
-    def _choose_subtree(self, node, bounds):
-        import math
-
-        best = None
-        best_enlargement = math.inf
-        best_volume = math.inf
-        for child in node.children:
-            volume = bounds_volume(child.bounds, self._dims)
-            enlarged = bounds_volume(
-                bounds_union(child.bounds, bounds, self._dims), self._dims
-            )
-            enlargement = enlarged - volume
-            if enlargement < best_enlargement or (
-                enlargement == best_enlargement and volume < best_volume
-            ):
-                best = child
-                best_enlargement = enlargement
-                best_volume = volume
-        return best
-
-    def _split_entries(self, items, get_bounds):
-        import math
-
-        dims, min_fill = self._dims, self._min_fill
-        worst = -math.inf
-        seed_a = seed_b = 0
-        for i in range(len(items)):
-            bi = get_bounds(items[i])
-            for j in range(i + 1, len(items)):
-                bj = get_bounds(items[j])
-                waste = (
-                    bounds_volume(bounds_union(bi, bj, dims), dims)
-                    - bounds_volume(bi, dims)
-                    - bounds_volume(bj, dims)
-                )
-                if waste > worst:
-                    worst = waste
-                    seed_a, seed_b = i, j
-        group_a, group_b = [items[seed_a]], [items[seed_b]]
-        bounds_a, bounds_b = get_bounds(items[seed_a]), get_bounds(items[seed_b])
-        rest = [it for k, it in enumerate(items) if k not in (seed_a, seed_b)]
-        for idx, item in enumerate(rest):
-            remaining = len(rest) - idx
-            if len(group_a) + remaining <= min_fill:
-                group_a.append(item)
-                bounds_a = bounds_union(bounds_a, get_bounds(item), dims)
-                continue
-            if len(group_b) + remaining <= min_fill:
-                group_b.append(item)
-                bounds_b = bounds_union(bounds_b, get_bounds(item), dims)
-                continue
-            b = get_bounds(item)
-            grow_a = bounds_volume(bounds_union(bounds_a, b, dims), dims) - bounds_volume(bounds_a, dims)
-            grow_b = bounds_volume(bounds_union(bounds_b, b, dims), dims) - bounds_volume(bounds_b, dims)
-            if grow_a < grow_b or (grow_a == grow_b and len(group_a) <= len(group_b)):
-                group_a.append(item)
-                bounds_a = bounds_union(bounds_a, b, dims)
-            else:
-                group_b.append(item)
-                bounds_b = bounds_union(bounds_b, b, dims)
-        return group_a, group_b
-
-
-def _leaf_bounds(tree):
-    out = []
-    stack = [tree._root] if tree._root is not None else []
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node.bounds)
-        else:
-            stack.extend(node.children)
-    return out
-
-
-def _total_leaf_overlap(leaves, dims):
-    """Sum of pairwise overlap margins — volume is useless here because
-    degenerate leaves make every overlap volume 0."""
-    total = 0.0
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            a, b = leaves[i], leaves[j]
-            margins = 0.0
-            for d in range(dims):
-                lo = max(a[d], b[d])
-                hi = min(a[dims + d], b[dims + d])
-                if hi < lo:
-                    break
-                margins += hi - lo
-            else:
-                total += margins
-    return total
-
-
-def test_margin_fallback_improves_clustered_point_splits():
-    """Quadratic split on an all-point, volume-degenerate workload.
-
-    Three clusters of collinear venues (x identically 0): every union of
-    two points has zero volume, so the old volume-only comparisons
-    degenerated to "first pair wins" and leaves straddled clusters.  The
-    margin fallback must separate the clusters (less node overlap, no
-    more leaves than the degenerate split produced).
-    """
-    rng = random.Random(5)
-    points = []
-    for cluster_y in (0.0, 10.0, 20.0):
-        points.extend((0.0, cluster_y + rng.random()) for _ in range(40))
-    rng.shuffle(points)
-
-    fixed = RTree(dims=2, capacity=4)
-    degenerate = _VolumeOnlyRTree(dims=2, capacity=4)
-    for i, p in enumerate(points):
-        fixed.insert_point(p, i)
-        degenerate.insert_point(p, i)
-    fixed.check_invariants()
-    degenerate.check_invariants()
-
-    fixed_overlap = _total_leaf_overlap(_leaf_bounds(fixed), 2)
-    degenerate_overlap = _total_leaf_overlap(_leaf_bounds(degenerate), 2)
-    assert fixed_overlap < degenerate_overlap
-    # The improvement is not marginal: the degenerate tree's leaves pile
-    # on top of each other along the line, the fixed tree's barely touch.
-    assert fixed_overlap <= 0.1 * degenerate_overlap
-    assert fixed.stats().num_leaves <= degenerate.stats().num_leaves
-
-
-def test_delete_from_empty_tree():
-    tree = RTree(dims=2)
-    assert tree.delete((0, 0, 0, 0), "x") is False
-
-
-def test_delete_single_entry():
-    tree = RTree(dims=2)
-    tree.insert_point((1, 1), "a")
-    assert tree.delete_point((1, 1), "a") is True
-    assert len(tree) == 0
-    assert tree.search_all((0, 0, 2, 2)) == []
-    tree.check_invariants()
-
-
-def test_delete_missing_entry():
-    tree = RTree(dims=2)
-    tree.insert_point((1, 1), "a")
-    assert tree.delete_point((1, 1), "b") is False
-    assert tree.delete_point((2, 2), "a") is False
-    assert len(tree) == 1
-
-
-def test_delete_random_churn_matches_linear_scan():
-    rng = random.Random(51)
-    tree = RTree(dims=2, capacity=4)
-    reference = LinearScanIndex(dims=2)
-    live: list[tuple[tuple, int]] = []
-    next_id = 0
-    for step in range(600):
-        if live and rng.random() < 0.4:
-            bounds, item = live.pop(rng.randrange(len(live)))
-            assert tree.delete(bounds, item) is True
-            reference._entries.remove((bounds, item))
-        else:
-            p = (rng.random(), rng.random())
-            bounds = p + p
-            tree.insert(bounds, next_id)
-            reference.insert(bounds, next_id)
-            live.append((bounds, next_id))
-            next_id += 1
-        if step % 100 == 99:
-            tree.check_invariants()
-            q = (0.2, 0.2, 0.7, 0.7)
-            assert sorted(tree.search_all(q)) == sorted(reference.search_all(q))
-    assert len(tree) == len(live)
-
-
-def test_delete_everything_then_reuse():
-    rng = random.Random(52)
-    tree = RTree(dims=2, capacity=4)
-    points = random_points(rng, 80)
-    for i, p in enumerate(points):
-        tree.insert_point(p, i)
-    for i, p in enumerate(points):
-        assert tree.delete_point(p, i) is True
-    assert len(tree) == 0
-    tree.insert_point((0.5, 0.5), "fresh")
-    assert tree.search_all((0, 0, 1, 1)) == ["fresh"]
-    tree.check_invariants()
-
-
-def test_delete_duplicate_points_removes_requested_item():
-    tree = RTree(dims=2, capacity=4)
-    for i in range(10):
-        tree.insert_point((0.5, 0.5), i)
-    assert tree.delete_point((0.5, 0.5), 7) is True
-    remaining = sorted(tree.search_all((0.5, 0.5, 0.5, 0.5)))
-    assert remaining == [0, 1, 2, 3, 4, 5, 6, 8, 9]
-    tree.check_invariants()
-
-
-def test_nearest_validation():
-    tree = RTree(dims=2)
-    with pytest.raises(ValueError):
-        tree.nearest((0, 0, 0))
-    with pytest.raises(ValueError):
-        tree.nearest((0, 0), k=0)
-    assert tree.nearest((0, 0)) == []
-
-
-def test_nearest_matches_brute_force():
-    rng = random.Random(41)
-    points = random_points(rng, 200)
-    entries = [(point_bounds(p), i) for i, p in enumerate(points)]
-    tree = RTree.bulk_load(entries, dims=2, capacity=6)
-
-    def brute(q, k):
-        dists = sorted(
-            (((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5, i)
-            for i, p in enumerate(points)
-        )
-        return dists[:k]
-
-    for _ in range(20):
-        q = (rng.random(), rng.random())
-        for k in (1, 3, 7):
-            got = tree.nearest(q, k=k)
-            expected = brute(q, k)
-            assert [round(d, 9) for d, _ in got] == [
-                round(d, 9) for d, _ in expected
-            ]
-
-
-def test_nearest_with_filter():
-    entries = [((float(i), 0.0, float(i), 0.0), i) for i in range(10)]
-    tree = RTree.bulk_load(entries, dims=2, capacity=4)
-    got = tree.nearest((0.0, 0.0), k=2, item_filter=lambda i: i % 2 == 1)
-    assert [item for _, item in got] == [1, 3]
-
-
-def test_nearest_distance_zero_inside_box():
-    tree = RTree(dims=2)
-    tree.insert((0, 0, 10, 10), "box")
-    [(distance, item)] = tree.nearest((5, 5))
-    assert distance == 0.0
-    assert item == "box"
-
-
-def test_nearest_3d():
-    entries = [
-        ((x, y, z, x, y, z), (x, y, z))
-        for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)
-    ]
-    tree = RTree.bulk_load(entries, dims=3, capacity=4)
-    [(d, item)] = tree.nearest((0.1, 0.1, 0.1))
-    assert item == (0.0, 0.0, 0.0)
 
 
 def test_stats_counts():

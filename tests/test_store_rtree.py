@@ -8,12 +8,19 @@ lazily depend on the canonical result order, so the saved/loaded tree
 must yield results in exactly the order the freshly built tree does.
 """
 
+import hashlib
+import json
 import random
+from array import array
 
 import pytest
 
+from helpers import random_geosocial_network, random_region
+from repro.core import build_methods
+from repro.pipeline import BuildContext
 from repro.spatial import RTree
 from repro.store import SnapshotError
+from repro.store.codec import decode_record, encode_record
 from repro.store.snapshot import _decode_rtree, _encode_rtree
 
 
@@ -54,17 +61,6 @@ def test_search_order_preserved(dims, n):
         assert reloaded.any_intersecting(query) == tree.any_intersecting(query)
 
 
-def test_incrementally_built_tree_round_trips():
-    rng = random.Random(9)
-    tree = RTree(dims=2, capacity=4)
-    for bounds, item in _random_boxes(rng, 120):
-        tree.insert(bounds, item)
-    reloaded = _round_trip(tree)
-    assert len(reloaded) == len(tree)
-    for query in _queries(rng, 25):
-        assert list(reloaded.search(query)) == list(tree.search(query))
-
-
 def test_flatten_shape_is_consistent():
     rng = random.Random(1)
     tree = RTree.bulk_load(_random_boxes(rng, 50), dims=2)
@@ -80,8 +76,7 @@ def test_flatten_shape_is_consistent():
 
 
 def test_flatten_rejects_non_integer_items():
-    tree = RTree(dims=2)
-    tree.insert((0.0, 0.0, 1.0, 1.0), "a-string")
+    tree = RTree.bulk_load([((0.0, 0.0, 1.0, 1.0), "a-string")], dims=2)
     with pytest.raises(ValueError, match="integer"):
         tree.flatten()
 
@@ -122,3 +117,65 @@ def test_store_codec_round_trip_preserves_order():
     reloaded = _decode_rtree(_encode_rtree(tree))
     for query in _queries(rng, 20, 3):
         assert list(reloaded.search(query)) == list(tree.search(query))
+
+
+def test_from_flat_rejects_empty_leaf():
+    flat = RTree.bulk_load([((0.0, 0.0, 1.0, 1.0), 7)], dims=2).flatten()
+    flat.update(
+        size=0,
+        entry_counts=array("q", [0]),
+        entry_bounds=array("d"),
+        entry_items=array("q"),
+    )
+    with pytest.raises(ValueError, match="no entries"):
+        RTree.from_flat(**flat)
+    with pytest.raises(SnapshotError):
+        _decode_rtree(flat)
+
+
+def test_snapshot_with_legacy_split_field_warm_starts(tmp_path):
+    """Version-1 snapshots from before the static tree carry ``"split"``.
+
+    Those R-tree parts are the current record plus a ``"split"`` string
+    field; re-encode every R-tree part that way (fixing the manifest's
+    size and checksum) and the directory must still load and answer
+    exactly like the tree that was saved.
+    """
+    rng = random.Random(11)
+    network = random_geosocial_network(rng, num_vertices=40, num_edges=90)
+    context = BuildContext(network)
+    cold = build_methods(["spareach-bfl", "3dreach"], network, context=context)
+    snap = tmp_path / "snap"
+    context.save(snap)
+
+    manifest_path = snap / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    rtree_parts = [e for e in manifest["parts"] if e["kind"] == "rtree"]
+    assert rtree_parts
+    for entry in rtree_parts:
+        path = snap / "parts" / entry["file"]
+        fields = decode_record(path.read_bytes())
+        fields["split"] = "quadratic"
+        data = encode_record(fields)
+        path.write_bytes(data)
+        entry["bytes"] = len(data)
+        entry["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+
+    warm_context = BuildContext.load(snap)
+    loaded_trees = dict(warm_context.artifact_items())
+    for key, tree in context.artifact_items():
+        if key[0] == "rtree":
+            loaded = loaded_trees[key]
+            loaded.check_invariants()
+            for query in _queries(rng, 20, tree.dims):
+                assert list(loaded.search(query)) == list(tree.search(query))
+    warm = build_methods(["spareach-bfl", "3dreach"], context=warm_context)
+    assert warm_context.miss_keys() == []
+    for _ in range(40):
+        vertex = rng.randrange(network.num_vertices)
+        region = random_region(rng)
+        for name, method in cold.items():
+            assert warm[name].query(vertex, region) == method.query(
+                vertex, region
+            )
