@@ -10,7 +10,7 @@
   condensation and write it to a file (offline index construction);
 * ``query``    — answer one RangeReach query with a chosen method
   (``--vertex``/``--region``), or a whole batch from a file
-  (``--batch FILE``, optionally ``--workers N`` / ``--timeout S``);
+  (``--batch FILE``, optionally with a ``--timeout S`` deadline);
   ``--trace`` prints the per-query (or per-batch) span breakdown;
 * ``serve``    — run the long-lived HTTP query service over a mutable
   :class:`~repro.system.GeosocialDatabase`, warm-starting from
@@ -35,11 +35,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 
 from repro import obs
 from repro.core import METHOD_REGISTRY, build_method, build_methods
 from repro.datasets import DATASET_PROFILES, make_network
-from repro.exec import BatchTimeoutError, ParallelExecutor
+from repro.exec import BatchTimeoutError, run_batch
 from repro.geometry import Rect
 from repro.geosocial import GeosocialNetwork, condense_network
 from repro.labeling import build_labeling, build_reversed_labeling, save_labeling
@@ -221,6 +222,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _run_query_batch(args: argparse.Namespace, network: GeosocialNetwork) -> int:
+    if args.timeout is not None and args.timeout <= 0:
+        print("error: --timeout must be positive", file=sys.stderr)
+        return 2
     try:
         pairs = _read_batch_file(args.batch)
     except (OSError, ValueError) as exc:
@@ -238,42 +242,22 @@ def _run_query_batch(args: argparse.Namespace, network: GeosocialNetwork) -> int
     build_start = time.perf_counter()
     method = build_method(args.method, condensed, context=context)
     build_elapsed = time.perf_counter() - build_start
-    executor = (
-        ParallelExecutor(workers=args.workers, timeout=args.timeout)
-        if args.workers > 1 or args.timeout is not None
-        else None
-    )
-    batch_trace = None
     query_start = time.perf_counter()
     try:
-        with obs.measure() as work:
-            if args.trace:
-                with obs.trace("query_batch") as batch_trace:
-                    answers = (
-                        executor.run(method, pairs)
-                        if executor is not None
-                        else method.query_batch(pairs)
-                    )
-            else:
-                answers = (
-                    executor.run(method, pairs)
-                    if executor is not None
-                    else method.query_batch(pairs)
-                )
+        with obs.measure() as work, (
+            obs.trace("query_batch") if args.trace else nullcontext()
+        ) as batch_trace:
+            answers = run_batch(method.query_batch, pairs, args.timeout)
     except BatchTimeoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if executor is not None:
-            executor.close()
     query_elapsed = time.perf_counter() - query_start
     for (vertex, region), answer in zip(pairs, answers):
         print(f"RangeReach(G, {vertex}, {region.as_tuple()}) = {answer}")
     rate = len(pairs) / query_elapsed if query_elapsed > 0 else float("inf")
     print(
         f"method={args.method} build={build_elapsed:.3f}s "
-        f"batch={len(pairs)} workers={args.workers} "
-        f"elapsed={query_elapsed:.3f}s ({rate:.0f} q/s)"
+        f"batch={len(pairs)} elapsed={query_elapsed:.3f}s ({rate:.0f} q/s)"
     )
     if work:
         detail = " ".join(f"{k}={v}" for k, v in sorted(work.items()))
@@ -372,6 +356,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 0:
         print("error: --shards must be >= 0", file=sys.stderr)
         return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print("error: --timeout must be positive", file=sys.stderr)
+        return 2
     if args.snapshot_dir is not None and has_layout(args.snapshot_dir):
         # A directory with a shard layout restarts sharded; the layout
         # is authoritative, an explicit conflicting --shards is an error
@@ -429,15 +416,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    executor = (
-        ParallelExecutor(workers=args.workers) if args.workers > 1 else None
-    )
     recorder = FlightRecorder(
         slow_k=args.slow_k, access_log=args.access_log
     )
     service = QueryService(
         database,
-        executor=executor,
         max_inflight=args.max_inflight,
         default_timeout=args.timeout,
         recorder=recorder,
@@ -567,10 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per line; blank lines and # comments skipped)",
     )
     query.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool size for --batch (default: 1 = sequential)",
-    )
-    query.add_argument(
         "--timeout", type=float, default=None,
         help="per-batch deadline in seconds for --batch",
     )
@@ -650,11 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8642,
         help="listen port; 0 binds an ephemeral port (default: 8642)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool size for /v1 batch requests (default: 1 = "
-        "sequential)",
     )
     serve.add_argument(
         "--timeout", type=float, default=None,

@@ -38,7 +38,6 @@ from repro.obs.trace import tracing as _tracing
 from repro.pipeline import BuildContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import ParallelExecutor
     from repro.obs.trace import Trace
 
 
@@ -243,16 +242,10 @@ class RangeReachBase:
         return QueryResult(self.query(request.v, request.region), self.name)
 
     def execute_many(
-        self,
-        requests: Sequence[QueryRequest],
-        executor: "ParallelExecutor | None" = None,
+        self, requests: Sequence[QueryRequest]
     ) -> list[QueryResult]:
-        """Serve many requests, optionally through a parallel executor."""
-        pairs = [request.as_pair() for request in requests]
-        if executor is None:
-            answers = self.query_batch(pairs)
-        else:
-            answers = executor.run(self, pairs)
+        """Serve many requests as one :meth:`query_batch`."""
+        answers = self.query_batch([request.as_pair() for request in requests])
         return [QueryResult(answer, self.name) for answer in answers]
 
 

@@ -1,20 +1,20 @@
-"""Batched and parallel query execution (the serving-side engine).
+"""Deadline-checked query batches on the request thread.
 
-``repro.exec`` turns the per-method batch APIs of :mod:`repro.core` into
-a serving component: :class:`ParallelExecutor` chunks a query batch
-across a thread pool over the *immutable* snapshot indexes (every query
-path is read-only), enforces a per-batch deadline, and degrades to
-sequential execution when a pool cannot be created.
-
-Entry points further up the stack:
-
-* :meth:`repro.core.base.RangeReachBase.execute_many` — request-level
-  batches through an optional executor;
-* :meth:`repro.system.database.GeosocialDatabase.range_reach_many` —
-  delta-overlay-aware batches over the mutable store;
-* ``repro-geosocial query --batch FILE --workers N`` — the CLI surface.
+:func:`run_batch` answers a batch through a ``query_batch`` callable,
+checking an optional deadline between chunks; an expired deadline raises
+:class:`BatchTimeoutError` with the answered prefix.
+:meth:`repro.system.GeosocialDatabase.range_reach_many`,
+:meth:`repro.shard.ShardedDatabase.range_reach_many`,
+:class:`repro.serve.QueryService` and ``repro query --batch FILE
+--timeout S`` all take the deadline as a plain ``timeout=`` and go
+through it.
 """
 
-from repro.exec.executor import UNSET, BatchTimeoutError, ParallelExecutor
+from repro.exec.executor import (
+    BatchTimeoutError,
+    ParallelExecutor,
+    run_batch,
+    run_flattened,
+)
 
-__all__ = ["BatchTimeoutError", "ParallelExecutor", "UNSET"]
+__all__ = ["BatchTimeoutError", "ParallelExecutor", "run_batch", "run_flattened"]

@@ -1,54 +1,37 @@
-"""ParallelExecutor: chunked batch execution over a thread pool.
+"""Deadline-checked query batches, served on the calling thread.
 
-The executor exploits two facts about the reproduction's query paths:
+A RangeReach answer is one index probe of a few microseconds, so a batch
+runs on the request thread: under CPython's GIL a thread pool over that
+probe only adds hand-off cost.  :func:`run_batch` is the one batch path
+with a deadline: it splits the batch into chunks, checks the deadline
+between them, and raises :class:`BatchTimeoutError` carrying the
+answered prefix.  :func:`run_flattened` does the same for a batch the
+databases rewrote into sub-queries, mapping the sub-answers back to the
+caller's queries.
 
-* every built index is **immutable** after construction and every query
-  is read-only, so worker threads can share one snapshot with no locks;
-* the vectorized ``query_batch`` overrides amortize index work *within*
-  a chunk, so chunking preserves most of the batching win while letting
-  chunks overlap in time.
-
-Observability: chunk executions are counted per worker thread
-(``repro_exec_chunks_total``), batches per execution mode, and — when
-the serving thread is tracing — the trace is handed across threads via
-:func:`repro.obs.trace.capture`: each worker attaches an
-``exec.chunk[i]`` subtree to the batch span, so nested spans and counter
-deltas recorded *inside* a chunk land in the request's trace.  Untraced
-batches skip the handoff entirely (capture returns None).
+:class:`ParallelExecutor` is not part of the serving stack; it stays
+only as the subject the benchmark ladder times against ``query_batch``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from math import ceil
 from typing import Sequence
 
 from repro.geometry import Rect
 from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
-from repro.obs.trace import capture as _capture
 from repro.obs.trace import span as _span
 
-# Chunks per worker when no explicit chunk_size is given: more chunks
-# than workers smooths load imbalance (queries vary in cost by orders of
-# magnitude), fewer keeps the per-chunk batching win.
+#: Chunks a deadline-checked batch is split into: the deadline is
+#: checked between chunks, and fewer chunks keep more of each
+#: ``query_batch`` call's cross-query sharing.
+_DEADLINE_CHUNKS = 4
+
+#: Chunks per worker for :class:`ParallelExecutor`.
 _CHUNKS_PER_WORKER = 4
-
-
-class _Unset:
-    """Sentinel distinguishing "argument omitted" from an explicit None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNSET"
-
-
-#: Default for :meth:`ParallelExecutor.run`'s ``timeout`` keyword, so an
-#: explicit ``timeout=None`` can mean "no deadline" even when the
-#: executor was constructed with a default deadline.
-UNSET = _Unset()
 
 
 class BatchTimeoutError(TimeoutError):
@@ -57,8 +40,9 @@ class BatchTimeoutError(TimeoutError):
     Attributes:
         completed: chunks that had finished when the deadline expired.
         total: chunks the batch was split into.
-        answers: the answers of the completed chunks, in input order (a
-            prefix of the full batch's answer list).
+        answers: the answers of the caller's leading queries that were
+            fully answered, in input order (a prefix of the full batch's
+            answer list).
     """
 
     def __init__(
@@ -74,65 +58,104 @@ class BatchTimeoutError(TimeoutError):
         self.answers = [] if answers is None else answers
 
 
-def _batch_callable(target):
-    """Normalize a query target to a ``chunk -> list[bool]`` callable.
+def _chunks(pairs: list, count: int) -> list[list]:
+    size = max(1, ceil(len(pairs) / count))
+    return [pairs[i:i + size] for i in range(0, len(pairs), size)]
 
-    Anything with a ``query_batch`` (every :class:`RangeReachBase`
-    subclass) uses it, so chunks keep the vectorized evaluation; a bare
-    ``query`` method is wrapped in the obvious loop.
+
+def run_batch(batch, pairs: Sequence, timeout: float | None) -> list[bool]:
+    """Answer ``pairs`` through ``batch`` (a ``query_batch``), in order.
+
+    Without a deadline (``timeout=None``) this is one ``batch(pairs)``
+    call.  With one, the batch runs as chunks under ``exec.chunk[i]``
+    spans; the deadline is checked before each chunk (a running chunk is
+    never interrupted) and, once expired, :class:`BatchTimeoutError`
+    carries the answers of the completed chunks.
     """
-    batch = getattr(target, "query_batch", None)
-    if batch is not None:
-        return batch
-    query = target.query
+    if timeout is None:
+        return batch(pairs)
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
+    chunks = _chunks(list(pairs), _DEADLINE_CHUNKS)
+    started = time.perf_counter()
+    deadline = time.monotonic() + timeout
+    answers: list[bool] = []
+    try:
+        with _span("exec.batch"):
+            for i, chunk in enumerate(chunks):
+                if time.monotonic() > deadline:
+                    if _obs_enabled():
+                        _inst.EXEC_TIMEOUTS.inc()
+                    raise BatchTimeoutError(
+                        f"batch deadline of {timeout:g}s exceeded after "
+                        f"{i}/{len(chunks)} chunks",
+                        completed=i,
+                        total=len(chunks),
+                        answers=answers,
+                    )
+                with _span(f"exec.chunk[{i}]"):
+                    answers.extend(batch(chunk))
+                if _obs_enabled():
+                    _inst.EXEC_CHUNKS.inc()
+    finally:
+        # A timed-out batch still reconciles: it is counted, with the
+        # queries actually answered before the deadline.
+        if _obs_enabled():
+            _inst.EXEC_BATCHES.inc()
+            _inst.EXEC_BATCH_QUERIES.inc(len(answers))
+            _inst.EXEC_BATCH_SECONDS.observe(time.perf_counter() - started)
+    return answers
 
-    def run_chunk(chunk: Sequence[tuple[int, Rect]]) -> list[bool]:
-        return [query(v, region) for v, region in chunk]
 
-    return run_chunk
+def _gather(
+    plans: Sequence[tuple[int, int, bool]], sub_answers: list[bool]
+) -> list[bool]:
+    out: list[bool] = []
+    for start, end, hit in plans:
+        if end > len(sub_answers):
+            break
+        out.append(hit or any(sub_answers[start:end]))
+    return out
+
+
+def run_flattened(
+    batch,
+    sub_pairs: Sequence,
+    plans: Sequence[tuple[int, int, bool]],
+    timeout: float | None,
+) -> list[bool]:
+    """:func:`run_batch` over sub-queries, answered per caller query.
+
+    Caller query ``i`` has plan ``(start, end, hit)``: it is True when
+    ``hit`` is, or any answer of ``sub_pairs[start:end]``.  On a timeout
+    the error's ``answers`` are the caller's leading queries whose
+    sub-queries all finished, never raw sub-query answers.
+    """
+    try:
+        sub_answers = run_batch(batch, sub_pairs, timeout) if sub_pairs else []
+    except BatchTimeoutError as exc:
+        exc.answers = _gather(plans, exc.answers)
+        raise
+    return _gather(plans, sub_answers)
 
 
 class ParallelExecutor:
-    """Run query batches across a thread pool with a per-batch deadline.
+    """Chunk a batch across a pool of ``workers`` threads.
 
-    Args:
-        workers: thread-pool size.  ``1`` means sequential execution
-            (still chunked when a timeout needs deadline checks).
-        chunk_size: queries per chunk.  Default: the batch is split into
-            ``workers * 4`` chunks (at least one query each).
-        timeout: default per-batch deadline in seconds; ``None`` means
-            no deadline.  :meth:`run` can override per batch, including
-            an explicit ``timeout=None`` to lift a constructor default.
-
-    The pool is created lazily on first parallel run and reused; if
-    creation fails (thread limits, restricted environments) the executor
-    degrades to sequential execution for its remaining lifetime and
-    counts the degradation in ``repro_exec_sequential_fallbacks_total``.
-    Usable as a context manager; :meth:`close` releases the pool.
+    Nothing in ``repro`` uses it: a batch is served on the request
+    thread (see :func:`run_batch`).  It is kept only as the subject of
+    the benchmark ladder's ``exec.run_w{1,2}_us`` cells, which time it
+    against a plain ``query_batch``.  ``workers=1`` is one
+    ``query_batch`` call; more workers split the batch into
+    ``workers * 4`` chunks.  Use it as a context manager, or call
+    :meth:`close` to release the pool.
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        chunk_size: int | None = None,
-        timeout: float | None = None,
-    ) -> None:
+    def __init__(self, workers: int = 4) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
         self._workers = workers
-        self._chunk_size = chunk_size
-        self._timeout = timeout
         self._pool: ThreadPoolExecutor | None = None
-        self._pool_broken = False
-
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        return self._workers
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
@@ -147,178 +170,17 @@ class ParallelExecutor:
         self.close()
         return False
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        target,
-        pairs: Sequence[tuple[int, Rect]],
-        *,
-        timeout: float | None | _Unset = UNSET,
-    ) -> list[bool]:
-        """Answer ``pairs`` through ``target``, aligned with the input.
-
-        ``target`` is anything speaking the RangeReach protocol (a method
-        class, the extended engine, or a bare ``query`` callable holder).
-        ``timeout`` defaults to the constructor deadline; passing
-        ``timeout=None`` explicitly disables the deadline for this batch.
-        Raises :class:`BatchTimeoutError` when the deadline expires with
-        chunks still outstanding; the exception carries the completed
-        prefix of answers.
-        """
+    def run(self, target, pairs: Sequence[tuple[int, Rect]]) -> list[bool]:
+        """Answer ``pairs`` through ``target.query_batch``, in order."""
         pairs = list(pairs)
-        if not pairs:
-            return []
-        if timeout is UNSET:
-            timeout = self._timeout
-        elif timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
-        batch = _batch_callable(target)
-        # Worker chunk tallies carry the target's kernel backend so a
-        # mixed fleet (numpy + python databases behind one executor)
-        # stays separable in the exported series.
-        backend = getattr(target, "kernels", None) or "none"
-        started = time.perf_counter()
-        mode = "sequential"
-        try:
-            with _span("exec.batch"):
-                if self._workers <= 1 or len(pairs) == 1:
-                    answers = self._run_sequential(
-                        batch, pairs, timeout, backend
-                    )
-                else:
-                    pool = self._get_pool()
-                    if pool is None:
-                        if _obs_enabled():
-                            _inst.EXEC_FALLBACKS.inc()
-                        answers = self._run_sequential(
-                            batch, pairs, timeout, backend
-                        )
-                    else:
-                        mode = "parallel"
-                        answers = self._run_parallel(
-                            pool, batch, pairs, timeout, backend
-                        )
-        except BatchTimeoutError as exc:
-            # A timed-out batch must still reconcile in the metrics:
-            # count the batch under its mode and the queries that were
-            # actually answered before the deadline.
-            if _obs_enabled():
-                _inst.EXEC_BATCHES.labels(mode=mode).inc()
-                _inst.EXEC_BATCH_QUERIES.inc(len(exc.answers))
-                _inst.EXEC_BATCH_SECONDS.observe(
-                    time.perf_counter() - started
-                )
-            raise
-        if _obs_enabled():
-            _inst.EXEC_BATCHES.labels(mode=mode).inc()
-            _inst.EXEC_BATCH_QUERIES.inc(len(pairs))
-            _inst.EXEC_BATCH_SECONDS.observe(time.perf_counter() - started)
-        return answers
-
-    # ------------------------------------------------------------------
-    def _get_pool(self) -> ThreadPoolExecutor | None:
-        if self._pool is not None:
-            return self._pool
-        if self._pool_broken:
-            return None
-        try:
+        if self._workers == 1 or len(pairs) <= 1:
+            return target.query_batch(pairs)
+        if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._workers, thread_name_prefix="repro-exec"
             )
-        except Exception:
-            # Thread creation can fail under rlimits or sandboxes; the
-            # batch must still be answered.
-            self._pool_broken = True
-            return None
-        return self._pool
-
-    def _chunks(
-        self, pairs: list[tuple[int, Rect]]
-    ) -> list[list[tuple[int, Rect]]]:
-        size = self._chunk_size
-        if size is None:
-            size = max(1, ceil(len(pairs) / (self._workers * _CHUNKS_PER_WORKER)))
-        return [pairs[i:i + size] for i in range(0, len(pairs), size)]
-
-    def _run_parallel(
-        self,
-        pool: ThreadPoolExecutor,
-        batch,
-        pairs: list[tuple[int, Rect]],
-        timeout: float | None,
-        backend: str,
-    ) -> list[bool]:
-        chunks = self._chunks(pairs)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        # Hand the serving thread's trace (if any) across to the workers:
-        # each chunk attaches its own subtree, so spans and counter
-        # deltas recorded inside the chunk stitch into the batch span.
-        ctx = _capture()
-
-        def work(index, chunk):
-            if ctx is None:
-                result = batch(chunk)
-            else:
-                with ctx.attach(f"exec.chunk[{index}]"):
-                    result = batch(chunk)
-            return result, threading.current_thread().name
-
-        futures = [
-            pool.submit(work, i, chunk) for i, chunk in enumerate(chunks)
-        ]
+        chunks = _chunks(pairs, self._workers * _CHUNKS_PER_WORKER)
         answers: list[bool] = []
-        for i, future in enumerate(futures):
-            remaining = None if deadline is None else deadline - time.monotonic()
-            try:
-                result, worker = future.result(timeout=remaining)
-            except _FuturesTimeout:
-                for pending in futures[i:]:
-                    pending.cancel()
-                if _obs_enabled():
-                    _inst.EXEC_TIMEOUTS.inc()
-                raise BatchTimeoutError(
-                    f"batch deadline of {timeout:g}s exceeded after "
-                    f"{i}/{len(futures)} chunks",
-                    completed=i,
-                    total=len(futures),
-                    answers=answers,
-                ) from None
-            answers.extend(result)
-            if _obs_enabled():
-                _inst.EXEC_CHUNKS.labels(worker=worker, backend=backend).inc()
-        return answers
-
-    def _run_sequential(
-        self,
-        batch,
-        pairs: list[tuple[int, Rect]],
-        timeout: float | None,
-        backend: str,
-    ) -> list[bool]:
-        if timeout is None:
-            # One vectorized evaluation over the whole batch — no chunk
-            # boundaries to dilute the cross-query sharing.
-            return batch(pairs)
-        # With a deadline, chunk so it can be checked between chunks (a
-        # running chunk is never interrupted — same guarantee as the
-        # parallel path, where in-flight chunks run to completion).
-        chunks = self._chunks(pairs)
-        deadline = time.monotonic() + timeout
-        worker = threading.current_thread().name
-        answers: list[bool] = []
-        for i, chunk in enumerate(chunks):
-            if time.monotonic() > deadline:
-                if _obs_enabled():
-                    _inst.EXEC_TIMEOUTS.inc()
-                raise BatchTimeoutError(
-                    f"batch deadline of {timeout:g}s exceeded after "
-                    f"{i}/{len(chunks)} chunks",
-                    completed=i,
-                    total=len(chunks),
-                    answers=answers,
-                )
-            with _span(f"exec.chunk[{i}]"):
-                answers.extend(batch(chunk))
-            if _obs_enabled():
-                _inst.EXEC_CHUNKS.labels(worker=worker, backend=backend).inc()
+        for part in self._pool.map(target.query_batch, chunks):
+            answers.extend(part)
         return answers

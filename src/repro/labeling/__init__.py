@@ -14,7 +14,6 @@ from repro.labeling.intervals import (
 )
 from repro.labeling.labeling import IntervalLabeling, LabelingStats
 from repro.labeling.construction import build_labeling, build_reversed_labeling
-from repro.labeling.stabbing import IntervalStabbingIndex
 from repro.labeling.dynamic import DynamicIntervalLabeling
 from repro.labeling.io import (
     labeling_from_state,
@@ -31,7 +30,6 @@ __all__ = [
     "LabelingStats",
     "build_labeling",
     "build_reversed_labeling",
-    "IntervalStabbingIndex",
     "DynamicIntervalLabeling",
     "labeling_from_state",
     "labeling_state",

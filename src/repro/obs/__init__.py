@@ -10,8 +10,8 @@ span tracer:
 * :mod:`repro.obs.instruments` — the named instruments the hot paths
   flush into (the metric naming scheme lives there);
 * :mod:`repro.obs.trace` — span trees with monotonic timings and
-  counter deltas (``with obs.trace(...)`` / ``obs.span(...)``), W3C
-  trace-id helpers, and cross-thread handoff (:func:`capture`);
+  counter deltas (``with obs.trace(...)`` / ``obs.span(...)``) and W3C
+  trace-id helpers;
 * :mod:`repro.obs.recorder` — the bounded slow-query flight recorder
   behind the service's ``/debug/*`` endpoints;
 * :mod:`repro.obs.slo` — per-endpoint objectives, multi-window burn
@@ -62,9 +62,7 @@ from repro.obs.slo import Objective, SLOMonitor, default_objectives
 from repro.obs.trace import (
     Span,
     Trace,
-    TraceContext,
     active_trace,
-    capture,
     new_trace_id,
     parse_traceparent,
     record_span,
@@ -89,9 +87,7 @@ __all__ = [
     "SLOMonitor",
     "Span",
     "Trace",
-    "TraceContext",
     "active_trace",
-    "capture",
     "default_objectives",
     "disable",
     "enable",

@@ -144,25 +144,19 @@ DB_DELTA_EDGES = REGISTRY.gauge(
 )
 
 # ----------------------------------------------------------------------
-# Batched / parallel query execution (repro.exec)
+# Deadline-checked query batches (repro.exec.run_batch)
 # ----------------------------------------------------------------------
-EXEC_BATCHES = REGISTRY.counter_family(
+EXEC_BATCHES = REGISTRY.counter(
     "repro_exec_batches_total",
-    "Query batches executed, by execution mode (sequential/parallel).",
-    label_names=("mode",),
+    "Query batches run under a deadline.",
 )
 EXEC_BATCH_QUERIES = REGISTRY.counter(
     "repro_exec_batch_queries_total",
-    "Individual queries answered through the batch execution engine.",
+    "Queries answered by deadline-checked batches.",
 )
-EXEC_CHUNKS = REGISTRY.counter_family(
+EXEC_CHUNKS = REGISTRY.counter(
     "repro_exec_chunks_total",
-    "Batch chunks executed, by worker thread and kernel backend.",
-    label_names=("worker", "backend"),
-)
-EXEC_FALLBACKS = REGISTRY.counter(
-    "repro_exec_sequential_fallbacks_total",
-    "Parallel batches degraded to sequential (pool unavailable).",
+    "Chunks of deadline-checked batches run to completion.",
 )
 EXEC_TIMEOUTS = REGISTRY.counter(
     "repro_exec_batch_timeouts_total",

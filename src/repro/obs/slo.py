@@ -98,8 +98,8 @@ def default_objectives() -> tuple[Objective, ...]:
     """The serving stack's default objectives, one per ``/v1`` op.
 
     Thresholds follow each op's work profile: a single reachability
-    query is label probes plus an R-tree walk (fast), a batch fans out
-    across the executor pool (slow), a write may trigger a bounded
+    query is label probes plus an R-tree walk (fast), a batch answers
+    many of them in one request (slow), a write may trigger a bounded
     delta-BFS or a rebuild check (in between).
     """
     return (

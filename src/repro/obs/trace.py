@@ -11,12 +11,10 @@ When no trace is active, :func:`span` returns a shared no-op context
 manager, so leaving the instrumentation in hot paths costs one ``None``
 check per span site.  Traces are **thread-local** and non-reentrant (one
 trace per thread): a trace opened on the serving thread never sees spans
-opened by other threads *unless* the trace is explicitly handed across
-with :func:`capture` — the serving thread captures a
-:class:`TraceContext` at a span site, worker threads ``attach`` to it,
-and their finished span subtrees are stitched (under a lock) into the
-capturing span.  :func:`record_span` remains for attaching already-timed
-flat intervals from the owning thread.
+opened by other threads.  A batch is served on the thread that traces
+it, so its ``exec.chunk[i]`` spans nest like any other.
+:func:`record_span` attaches already-timed flat intervals from the
+owning thread.
 
 Every trace carries a **trace id** — a 32-hex-digit token in the W3C
 ``traceparent`` trace-id format — either supplied by the caller (e.g.
@@ -39,13 +37,11 @@ from repro.obs.metrics import REGISTRY
 __all__ = [
     "Span",
     "Trace",
-    "TraceContext",
     "trace",
     "span",
     "active_trace",
     "tracing",
     "record_span",
-    "capture",
     "new_trace_id",
     "parse_traceparent",
     "valid_request_id",
@@ -201,8 +197,7 @@ class Trace:
     ) -> None:
         self.root = root
         self.trace_id = trace_id if trace_id else new_trace_id()
-        # Whole-trace policy: spans opened under this trace (including
-        # worker subtrees attached via TraceContext) inherit it, so a
+        # Whole-trace policy: spans opened under this trace inherit it, so a
         # ``counters=False`` serving trace never pays the registry walk.
         self.sample_counters = sample_counters
 
@@ -329,12 +324,9 @@ def span(name: str):
 def record_span(name: str, start: float, end: float) -> Span | None:
     """Attach an already-timed span to the innermost open span.
 
-    Fallback stitching path: a thread holding the trace records plain
-    ``perf_counter`` intervals measured elsewhere (e.g. worker chunk
-    timings collected after the fact).  No-op (returns None) when the
-    calling thread is not tracing.  Prefer :func:`capture` when the
-    worker itself can participate — attached spans keep their nested
-    structure; recorded spans are flat.
+    A thread holding the trace records a plain ``perf_counter``
+    interval measured elsewhere.  No-op (returns None) when the calling
+    thread is not tracing.
     """
     current = _get_current()
     if current is None:
@@ -344,87 +336,6 @@ def record_span(name: str, start: float, end: float) -> Span | None:
     child.end = end
     current.children.append(child)
     return child
-
-
-# ----------------------------------------------------------------------
-# Cross-thread handoff
-# ----------------------------------------------------------------------
-class TraceContext:
-    """A captured point in a live trace that other threads can attach to.
-
-    Created by :func:`capture` on the thread that owns the trace.  A
-    worker thread then opens a subtree with ``with ctx.attach(name):`` —
-    inside the block the worker has the trace active (nested
-    :func:`span` calls work normally, building a worker-local subtree),
-    and on exit the finished subtree is appended to the captured span
-    under a lock.  The capturing thread must keep the captured span open
-    until every attached worker has exited its block (the executor
-    guarantees this by joining its futures inside the span).
-    """
-
-    __slots__ = ("_trace", "_parent", "_lock")
-
-    def __init__(self, trace: "Trace", parent: Span) -> None:
-        self._trace = trace
-        self._parent = parent
-        self._lock = threading.Lock()
-
-    @property
-    def trace_id(self) -> str:
-        return self._trace.trace_id
-
-    def attach(self, name: str) -> "_AttachedSpan":
-        """Open a span subtree on the calling thread, stitched on exit."""
-        return _AttachedSpan(self, name)
-
-    def _stitch(self, finished: Span) -> None:
-        with self._lock:
-            if self._parent.end:
-                # The captured span already closed (e.g. the batch timed
-                # out and abandoned this chunk): drop the subtree rather
-                # than mutating a tree the recorder may be serializing.
-                return
-            self._parent.children.append(finished)
-
-
-class _AttachedSpan:
-    """Context manager running one cross-thread subtree (see above)."""
-
-    __slots__ = ("_context", "_span", "_saved")
-
-    def __init__(self, context: TraceContext, name: str) -> None:
-        self._context = context
-        self._span = Span(
-            name, sample_counters=context._trace.sample_counters
-        )
-        self._saved: tuple[Trace | None, Span | None] = (None, None)
-
-    def __enter__(self) -> Span:
-        self._saved = (_get_active(), _get_current())
-        _STATE.active = self._context._trace
-        _STATE.current = self._span
-        self._span._open()
-        return self._span
-
-    def __exit__(self, *exc_info) -> bool:
-        self._span._close()
-        _STATE.active, _STATE.current = self._saved
-        self._context._stitch(self._span)
-        return False
-
-
-def capture() -> TraceContext | None:
-    """Capture the active trace at the current span for worker handoff.
-
-    Returns None when the calling thread is not tracing, so call sites
-    can hand the result to workers unconditionally and workers fall
-    back to untraced execution.
-    """
-    active = _get_active()
-    current = _get_current()
-    if active is None or current is None:
-        return None
-    return TraceContext(active, current)
 
 
 class trace:
@@ -441,10 +352,10 @@ class trace:
     query paths.  ``trace_id`` pins the trace's identity (e.g. a request
     id parsed from an HTTP header); omitted, a fresh W3C-format id is
     generated.  ``counters=False`` disables counter sampling for the
-    whole trace — root, child spans and cross-thread subtrees alike —
-    and the serving path uses it: two registry walks per span would
-    dominate sub-millisecond requests, and the deltas are redundant with
-    the aggregate ``/metrics`` counters.
+    whole trace, root and child spans alike, and the serving path uses
+    it: two registry walks per span would dominate sub-millisecond
+    requests, and the deltas are redundant with the aggregate
+    ``/metrics`` counters.
     """
 
     def __init__(

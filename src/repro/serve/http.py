@@ -36,8 +36,8 @@ can be joined against the server's flight recorder
 (``/debug/traces?id=...``) without header plumbing.  A ``/v1`` request
 runs under a trace rooted at the endpoint name whose id *is* the
 request id; stages (``parse`` / ``admit`` / ``queue.wait`` /
-``exec`` / ``encode``) and the executor's per-chunk worker subtrees are
-stitched into that tree.
+``exec`` / ``encode``) and a deadline batch's ``exec.chunk[i]`` spans
+nest in that tree.
 
 **Graceful drain.**  :func:`run_server` installs SIGTERM/SIGINT
 handlers; on the first signal the server stops accepting connections,

@@ -8,13 +8,11 @@ into a long-running serving component:
   queueing without bound behind the database lock;
 * **serialized writes, batched reads** — the database is not
   thread-safe, so every operation holds one lock; batches still win
-  because they run vectorized (and optionally through a
-  :class:`~repro.exec.ParallelExecutor`, whose worker threads
-  parallelize *inside* the locked batch);
-* **deadline propagation** — a batch deadline travels through
-  ``range_reach_many`` into the executor; an expired deadline surfaces
-  as :class:`~repro.exec.BatchTimeoutError` which the HTTP layer maps
-  to 504 with the completed/total chunk counts;
+  because they run vectorized, on the request thread;
+* **deadline propagation** — a batch deadline travels to
+  ``range_reach_many(timeout=)``, checked between chunks; an expired
+  deadline surfaces as :class:`~repro.exec.BatchTimeoutError` which the
+  HTTP layer maps to 504 with the completed/total chunk counts;
 * **drain** — :meth:`begin_drain` flips the service into draining mode
   (new requests get 503), :meth:`close` optionally persists the
   snapshot so a restart warm-starts from the drained state.
@@ -26,11 +24,11 @@ reusable behind other transports.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
 
-from repro.exec import ParallelExecutor
 from repro.geometry import Rect
 from repro.obs import instruments as _inst
 from repro.obs import render_prometheus
@@ -111,6 +109,8 @@ def _as_int(value, what: str) -> int:
 def _as_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequestError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise BadRequestError(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
@@ -143,12 +143,10 @@ class QueryService:
     Args:
         database: the store to serve; all access is serialized on an
             internal lock (the database is not thread-safe).
-        executor: optional :class:`ParallelExecutor` for batch requests.
-            Owned by the service: :meth:`close` closes it.
         max_inflight: admission-control bound on concurrently admitted
             requests; the bound is the queue, exceeding it is a 429.
         default_timeout: per-batch deadline (seconds) applied when a
-            batch request does not carry its own ``timeout`` field.
+            batch request does not carry its own ``deadline_ms`` field.
         recorder: flight recorder behind ``/debug/*``; a default-sized
             one is created when omitted.  Owned: :meth:`close` closes it.
         slo: SLO monitor behind the ``repro_slo_*`` gauges and the
@@ -164,7 +162,6 @@ class QueryService:
         self,
         database: GeosocialDatabase,
         *,
-        executor: ParallelExecutor | None = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         default_timeout: float | None = None,
         recorder: FlightRecorder | None | bool = None,
@@ -176,7 +173,6 @@ class QueryService:
         if default_timeout is not None and default_timeout <= 0:
             raise ValueError("default_timeout must be positive")
         self._database = database
-        self._executor = executor
         self._max_inflight = max_inflight
         self._default_timeout = default_timeout
         if recorder is None or recorder is True:
@@ -288,22 +284,11 @@ class QueryService:
             kwargs["shard_hint"] = shard_hint
         with self._locked(), _tspan("exec"):
             try:
-                if self._executor is not None:
-                    answers = database.range_reach_many(
-                        pairs, self._executor, timeout=timeout, **kwargs
-                    )
-                elif timeout is not None:
-                    # No pool: enforce the deadline with a one-shot
-                    # sequential executor (chunked deadline checks).
-                    with ParallelExecutor(workers=1) as sequential:
-                        answers = database.range_reach_many(
-                            pairs, sequential, timeout=timeout, **kwargs
-                        )
-                else:
-                    answers = database.range_reach_many(pairs, **kwargs)
+                return database.range_reach_many(
+                    pairs, timeout=timeout, **kwargs
+                )
             except (IndexError, ValueError) as exc:
                 raise BadRequestError(str(exc)) from None
-        return answers
 
     def write(
         self, payload: dict, *, shard_hint: int | None = None
@@ -622,8 +607,6 @@ class QueryService:
                         persisted = True
                     except ValueError:
                         pass  # no venues yet: nothing worth persisting
-        if self._executor is not None:
-            self._executor.close()
         if self._recorder is not None:
             self._recorder.close()
         return persisted

@@ -15,11 +15,10 @@ A query plans in two pruning steps before any shard is touched:
   direction and exact while venues are never deleted).
 
 Surviving ``(shard, entry)`` pairs become per-shard sub-batches merged
-with ``any()`` per original query; batches run through the shared
-:class:`~repro.exec.ParallelExecutor` protocol, so chunk deadlines
-(:class:`~repro.exec.BatchTimeoutError` → HTTP 504) and trace stitching
-(``shard[i]`` spans inside ``exec.chunk[j]`` subtrees) come from the
-same machinery the monolithic path uses.
+with ``any()`` per original query; a batch deadline goes through the
+same :func:`repro.exec.run_flattened` helper the monolithic path uses,
+so chunk deadlines (:class:`~repro.exec.BatchTimeoutError` → HTTP 504)
+and ``shard[i]`` spans inside ``exec.chunk[j]`` come from one place.
 
 Writes route to the owning shard: removing a snapshot edge invalidates
 (and later re-persists) *only that shard's* snapshot — the whole point
@@ -34,7 +33,7 @@ import os
 from pathlib import Path
 
 from repro.core.base import RangeReachBase
-from repro.exec import UNSET as _UNSET_TIMEOUT
+from repro.exec import run_flattened
 from repro.geometry import Point, Rect, as_rect
 from repro.geosocial.network import GeosocialNetwork
 from repro.graph.digraph import DiGraph
@@ -57,48 +56,6 @@ _DEFAULT_BOUNDS = Rect(0.0, 0.0, 1.0, 1.0)
 def has_layout(directory: str | os.PathLike) -> bool:
     """True iff ``directory`` holds a sharded layout manifest."""
     return (Path(directory) / LAYOUT_NAME).is_file()
-
-
-class _ScatterTarget:
-    """Executor-facing adapter over the shards.
-
-    The batch pairs are ``((shard, local_vertex), region)`` — the
-    executor treats pairs opaquely (it only slices the list into
-    chunks), so the tag rides along for free.  Each chunk groups its
-    pairs by shard and runs one vectorized ``range_reach_many`` per
-    shard, wrapped in a ``shard[i]`` span for trace stitching.
-    """
-
-    name = "shard-scatter"
-
-    def __init__(self, owner: "ShardedDatabase") -> None:
-        self._owner = owner
-
-    @property
-    def kernels(self) -> str:
-        return self._owner.kernels
-
-    def query(self, key: tuple[int, int], region: Rect) -> bool:
-        shard, local = key
-        return self._owner._shards[shard].range_reach(local, region)
-
-    def query_batch(self, chunk) -> list[bool]:
-        if not chunk:
-            return []
-        out: list[bool] = [False] * len(chunk)
-        groups: dict[int, tuple[list[int], list[tuple[int, Rect]]]] = {}
-        for i, ((shard, local), region) in enumerate(chunk):
-            indexes, pairs = groups.setdefault(shard, ([], []))
-            indexes.append(i)
-            pairs.append((local, region))
-        shards = self._owner._shards
-        for shard in sorted(groups):
-            indexes, pairs = groups[shard]
-            with _span(f"shard[{shard}]"):
-                answers = shards[shard].range_reach_many(pairs)
-            for i, answer in zip(indexes, answers):
-                out[i] = answer
-        return out
 
 
 class ShardedDatabase(RangeReachBase):
@@ -177,7 +134,6 @@ class ShardedDatabase(RangeReachBase):
         self._layout_saves = 0
         self._layout_warm_starts = 0
         self._ops_since_save = 0
-        self._scatter = _ScatterTarget(self)
 
     # ------------------------------------------------------------------
     # Construction
@@ -602,19 +558,6 @@ class ShardedDatabase(RangeReachBase):
             _inst.SHARD_TOUCHED.inc(len(touched))
         return touched, frontier
 
-    def _ensure_built(self, shards: set[int]) -> None:
-        """Pre-build stale shard snapshots on the calling thread.
-
-        The executor's workers must never race a rebuild; a shard that
-        reaches the scatter stage is guaranteed a live engine here (a
-        touched shard has venues by the MBR test, so the build cannot
-        fail).
-        """
-        for shard in shards:
-            db = self._shards[shard]
-            if db.is_stale:
-                db.refresh()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -649,9 +592,8 @@ class ShardedDatabase(RangeReachBase):
     def range_reach_many(
         self,
         pairs,
-        executor=None,
         *,
-        timeout=_UNSET_TIMEOUT,
+        timeout: float | None = None,
         shard_hint: int | None = None,
     ) -> list[bool]:
         """Answer many ``(vertex, region)`` queries via scatter-gather.
@@ -659,10 +601,11 @@ class ShardedDatabase(RangeReachBase):
         Every query is planned (region + source pruning, one boundary
         frontier per distinct vertex), the surviving ``(shard, entry)``
         sub-queries are flattened into one tagged batch, and the batch
-        runs through ``executor`` when given — inheriting its chunking,
-        per-batch deadline (``timeout``) and trace stitching — or
-        through the scatter target directly.  Answers merge back with
-        ``any()`` over each query's slice.
+        runs under the deadline ``timeout`` (seconds, checked between
+        chunks by :func:`repro.exec.run_batch`).  Answers merge back
+        with ``any()`` over each query's slice; a timed-out batch's
+        :class:`~repro.exec.BatchTimeoutError` carries a prefix of this
+        batch's answers.
         """
         pairs = [(vertex, as_rect(region)) for vertex, region in pairs]
         if not pairs:
@@ -676,7 +619,7 @@ class ShardedDatabase(RangeReachBase):
             frontier_cache: dict[int, dict[int, set[int]]] = {}
             local_of = self._local_of
             tagged: list[tuple[tuple[int, int], Rect]] = []
-            plans: list[tuple[int, int]] = []
+            plans: list[tuple[int, int, bool]] = []
             per_shard: dict[int, int] = {}
             with _span("shard.plan"):
                 for vertex, region in pairs:
@@ -692,20 +635,33 @@ class ShardedDatabase(RangeReachBase):
                         tagged.extend(
                             ((shard, local_of[g]), region) for g in entries
                         )
-                    plans.append((start, len(tagged)))
+                    plans.append((start, len(tagged), False))
             for shard, count in per_shard.items():
                 self._count_scatter(shard, count)
-            if not tagged:
-                answers: list[bool] = []
-            elif executor is not None:
-                self._ensure_built(set(per_shard))
-                answers = executor.run(self._scatter, tagged, timeout=timeout)
-            else:
-                answers = self._scatter.query_batch(tagged)
-            return [any(answers[start:end]) for start, end in plans]
+            return run_flattened(self._scatter_batch, tagged, plans, timeout)
+
+    def _scatter_batch(self, chunk) -> list[bool]:
+        """Answer ``((shard, local_vertex), region)`` sub-queries, in order.
+
+        The chunk is grouped by shard and each group runs as one
+        vectorized ``range_reach_many`` under a ``shard[i]`` span.
+        """
+        out: list[bool] = [False] * len(chunk)
+        groups: dict[int, tuple[list[int], list[tuple[int, Rect]]]] = {}
+        for i, ((shard, local), region) in enumerate(chunk):
+            indexes, pairs = groups.setdefault(shard, ([], []))
+            indexes.append(i)
+            pairs.append((local, region))
+        for shard in sorted(groups):
+            indexes, pairs = groups[shard]
+            with _span(f"shard[{shard}]"):
+                answers = self._shards[shard].range_reach_many(pairs)
+            for i, answer in zip(indexes, answers):
+                out[i] = answer
+        return out
 
     def query_batch(self, pairs) -> list[bool]:
-        """Protocol alias of :meth:`range_reach_many` (no executor)."""
+        """Protocol alias of :meth:`range_reach_many` (no deadline)."""
         return self.range_reach_many(pairs)
 
     def _count_scatter(self, shard: int, count: int) -> None:

@@ -36,7 +36,7 @@ from collections import deque
 
 from repro.core.base import RangeReachBase
 from repro.core.extensions import GeosocialQueryEngine
-from repro.exec import UNSET as _UNSET_TIMEOUT
+from repro.exec import run_batch, run_flattened
 from repro.geometry import Point, Rect, as_rect
 from repro.geosocial.network import GeosocialNetwork
 from repro.graph.digraph import DiGraph
@@ -293,26 +293,22 @@ class GeosocialDatabase(RangeReachBase):
         return self.range_reach(vertex, region)
 
     def range_reach_many(
-        self,
-        pairs,
-        executor=None,
-        *,
-        timeout=_UNSET_TIMEOUT,
+        self, pairs, *, timeout: float | None = None
     ) -> list[bool]:
         """Answer many ``(vertex, region)`` queries, delta-overlay aware.
 
         With no pending delta the whole batch goes straight to the
-        snapshot engine's vectorized ``query_batch`` (or through
-        ``executor``, a :class:`repro.exec.ParallelExecutor`).  With a
-        delta, each query is rewritten into its overlay form — the
+        snapshot engine's vectorized ``query_batch``.  With a delta,
+        each query is rewritten into its overlay form — the
         delta-spatial check plus one snapshot sub-query per overlay
         root, with the per-vertex frontier computed once per distinct
         vertex — and the flattened sub-queries run as one snapshot
         batch.
 
-        ``timeout`` propagates to ``executor.run`` as the per-batch
-        deadline (``None`` lifts a constructor default; omitted keeps
-        it); it is ignored without an executor.
+        ``timeout`` (seconds) is the batch deadline, checked between
+        chunks (:func:`repro.exec.run_batch`); an expired one raises
+        :class:`~repro.exec.BatchTimeoutError` whose ``answers`` are a
+        prefix of this batch's answers.
         """
         pairs = [(vertex, as_rect(region)) for vertex, region in pairs]
         if not pairs:
@@ -324,9 +320,7 @@ class GeosocialDatabase(RangeReachBase):
             if not self._has_delta():
                 for _ in pairs:
                     self._note_query(overlay=False)
-                if executor is not None:
-                    return executor.run(engine, pairs, timeout=timeout)
-                return engine.query_batch(pairs)
+                return run_batch(engine.query_batch, pairs, timeout)
             for _ in pairs:
                 self._note_query(overlay=True)
             points = self._points
@@ -349,19 +343,10 @@ class GeosocialDatabase(RangeReachBase):
                     if not delta_hit:
                         sub_pairs.extend((root, region) for root in roots)
                     plans.append((start, len(sub_pairs), delta_hit))
-            if not sub_pairs:
-                sub_answers: list[bool] = []
-            elif executor is not None:
-                sub_answers = executor.run(engine, sub_pairs, timeout=timeout)
-            else:
-                sub_answers = engine.query_batch(sub_pairs)
-            return [
-                delta_hit or any(sub_answers[start:end])
-                for start, end, delta_hit in plans
-            ]
+            return run_flattened(engine.query_batch, sub_pairs, plans, timeout)
 
     def query_batch(self, pairs) -> list[bool]:
-        """Protocol alias of :meth:`range_reach_many` (no executor)."""
+        """Protocol alias of :meth:`range_reach_many` (no deadline)."""
         return self.range_reach_many(pairs)
 
     def count_reachable(self, vertex: int, region: Rect) -> int:

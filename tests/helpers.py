@@ -142,3 +142,41 @@ def random_region(rng: random.Random) -> Rect:
     x1, x2 = sorted((rng.random(), rng.random()))
     y1, y2 = sorted((rng.random(), rng.random()))
     return Rect(x1, y1, x2, y2)
+
+
+# ----------------------------------------------------------------------
+# Timed-out database batches
+# ----------------------------------------------------------------------
+def weeplaces_batch(count: int = 60, seed: int = 7):
+    """A small weeplaces replica and ``count`` user queries whose regions
+    span a tenth of each side of SPACE (a mix of True and False)."""
+    from repro.datasets import make_network
+
+    network = make_network("weeplaces", scale=0.0005, seed=3)
+    space = network.space()
+    width = (space.xhi - space.xlo) * 0.1
+    height = (space.yhi - space.ylo) * 0.1
+    rng = random.Random(seed)
+    users = [v for v in range(network.num_vertices) if network.kinds[v] == "user"]
+    pairs = []
+    for _ in range(count):
+        x = rng.uniform(space.xlo, space.xhi - width)
+        y = rng.uniform(space.ylo, space.yhi - height)
+        pairs.append((rng.choice(users), Rect(x, y, x + width, y + height)))
+    return network, users, pairs
+
+
+def stall_second_call(batch, seconds: float):
+    """Wrap a ``query_batch`` callable so its second call sleeps first:
+    a deadline shorter than ``seconds`` then expires after two chunks."""
+    import time
+
+    calls = []
+
+    def stalled(chunk):
+        calls.append(len(chunk))
+        if len(calls) == 2:
+            time.sleep(seconds)
+        return batch(chunk)
+
+    return stalled

@@ -120,18 +120,22 @@ def test_query_batch_file(dataset_dir, batch_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("RangeReach(G, ") == 3
-    assert "batch=3 workers=1" in out
+    assert "batch=3 elapsed=" in out
     assert "q/s" in out
 
 
-def test_query_batch_with_workers(dataset_dir, batch_file, capsys):
-    code = main([
-        "query", str(dataset_dir),
-        "--batch", str(batch_file), "--workers", "4",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "batch=3 workers=4" in out
+@pytest.mark.parametrize("command", ["query", "serve"])
+def test_workers_flag_rejected(dataset_dir, batch_file, command, capsys):
+    # Batches run on the request thread: there is no pool to size.
+    args = (
+        ["query", str(dataset_dir), "--batch", str(batch_file)]
+        if command == "query"
+        else ["serve", "--network", str(dataset_dir), "--port", "0"]
+    )
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--workers", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_query_batch_mutually_exclusive_with_vertex(
@@ -205,7 +209,7 @@ def test_query_batch_matches_single_queries(dataset_dir, batch_file, capsys):
 def test_query_batch_trace_prints_batch_span(dataset_dir, batch_file, capsys):
     code = main([
         "query", str(dataset_dir),
-        "--batch", str(batch_file), "--workers", "2", "--trace",
+        "--batch", str(batch_file), "--timeout", "60", "--trace",
     ])
     assert code == 0
     out = capsys.readouterr().out

@@ -94,3 +94,17 @@ def test_serve_snapshot_only_with_empty_directory(tmp_path):
 def test_serve_missing_network_directory():
     result = _run("serve", "--network", "/nonexistent/network")
     _assert_clean_failure(result)
+
+
+@pytest.mark.parametrize("command", ["query", "serve"])
+def test_nonpositive_timeout(tmp_path, net_dir, command):
+    batch = tmp_path / "queries.txt"
+    batch.write_text("0 0,0,5,5\n")
+    args = (
+        ["query", str(net_dir), "--batch", str(batch)]
+        if command == "query"
+        else ["serve", "--network", str(net_dir), "--port", "0"]
+    )
+    result = _run(*args, "--timeout", "0")
+    _assert_clean_failure(result)
+    assert "--timeout must be positive" in result.stderr

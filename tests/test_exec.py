@@ -1,4 +1,4 @@
-"""ParallelExecutor: parity, chunking, deadline, fallback, observability."""
+"""run_batch: parity, deadline, partial answers, counters; ParallelExecutor."""
 
 import time
 
@@ -6,9 +6,11 @@ import pytest
 
 from repro import obs
 from repro.core import RangeReachOracle, build_methods
-from repro.exec import BatchTimeoutError, ParallelExecutor
+from repro.exec import BatchTimeoutError, ParallelExecutor, run_batch
 from repro.geometry import Rect
 from repro.pipeline import BuildContext
+from repro.serve import QueryService
+from repro.system import GeosocialDatabase
 
 REGION = Rect(0.0, 0.0, 5.0, 5.0)
 EMPTY_REGION = Rect(90.0, 90.0, 91.0, 91.0)
@@ -34,212 +36,117 @@ def _pairs(network) -> list[tuple[int, Rect]]:
 # ----------------------------------------------------------------------
 # Parity and basics
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 4])
-def test_run_matches_sequential_answers(built, fig1_net, workers):
+@pytest.mark.parametrize("timeout", [None, 60.0])
+def test_run_batch_matches_query_batch(built, fig1_net, timeout):
     oracle = RangeReachOracle(fig1_net)
     pairs = _pairs(fig1_net)
     expected = [oracle.query(v, region) for v, region in pairs]
-    with ParallelExecutor(workers=workers, chunk_size=3) as executor:
-        assert executor.run(oracle, pairs) == expected
+    for name, method in built.items():
+        assert method.query_batch(pairs) == expected, name
+        assert run_batch(method.query_batch, pairs, timeout) == expected, name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_run_matches_sequential_answers(built, fig1_net, workers):
+    # ParallelExecutor is the subject of the benchmark ladder's
+    # exec.run_w{1,2}_us cells; its answers must equal query_batch's.
+    pairs = _pairs(fig1_net)
+    with ParallelExecutor(workers=workers) as executor:
         for name, method in built.items():
-            assert executor.run(method, pairs) == expected, name
+            assert executor.run(method, pairs) == method.query_batch(pairs)
 
 
 def test_empty_batch(built):
+    assert run_batch(built["3dreach"].query_batch, [], 1.0) == []
     with ParallelExecutor(workers=2) as executor:
         assert executor.run(built["3dreach"], []) == []
 
 
 def test_single_query_batch(built):
     method = built["3dreach"]
-    with ParallelExecutor(workers=4) as executor:
-        assert executor.run(method, [(0, REGION)]) == [method.query(0, REGION)]
-
-
-def test_bare_query_target():
-    class QueryOnly:
-        def query(self, v, region):
-            return v % 2 == 0
-
-    pairs = [(v, REGION) for v in range(10)]
-    with ParallelExecutor(workers=2, chunk_size=3) as executor:
-        assert executor.run(QueryOnly(), pairs) == [
-            v % 2 == 0 for v in range(10)
-        ]
+    assert run_batch(method.query_batch, [(0, REGION)], 60.0) == [
+        method.query(0, REGION)
+    ]
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="workers"):
         ParallelExecutor(workers=0)
-    with pytest.raises(ValueError, match="chunk_size"):
-        ParallelExecutor(chunk_size=0)
-    with pytest.raises(ValueError, match="timeout"):
-        ParallelExecutor(timeout=0)
 
 
-def test_execute_many_through_executor(built, fig1_net):
-    from repro.core import QueryRequest
+def test_timeout_none_is_one_batch_call():
+    calls = []
 
-    method = built["socreach"]
-    requests = [QueryRequest(v, REGION) for v in range(fig1_net.num_vertices)]
-    with ParallelExecutor(workers=2, chunk_size=2) as executor:
-        results = method.execute_many(requests, executor=executor)
-    assert [r.answer for r in results] == method.query_batch(
-        [r.as_pair() for r in requests]
-    )
-    assert all(r.method == method.name for r in results)
+    def batch(chunk):
+        calls.append(len(chunk))
+        return [True] * len(chunk)
+
+    assert run_batch(batch, [(0, REGION)] * 40, None) == [True] * 40
+    assert calls == [40]
+    calls.clear()
+    assert run_batch(batch, [(0, REGION)] * 40, 60.0) == [True] * 40
+    assert calls == [10, 10, 10, 10]
+
+
+def test_run_rejects_nonpositive_timeout(built):
+    for bad in (0, -1.5):
+        with pytest.raises(ValueError, match="timeout"):
+            run_batch(built["3dreach"].query_batch, [(0, REGION)], bad)
 
 
 # ----------------------------------------------------------------------
 # Deadline
 # ----------------------------------------------------------------------
-class _Slow:
-    name = "slow"
-
-    def query_batch(self, chunk):
-        time.sleep(0.02)
-        return [False] * len(chunk)
+def _slow(chunk):
+    time.sleep(0.02)
+    return [v % 2 == 0 for v, _ in chunk]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_deadline_raises_batch_timeout(workers):
-    pairs = [(0, REGION)] * 40
-    executor = ParallelExecutor(workers=workers, chunk_size=2, timeout=0.01)
-    with executor:
-        with pytest.raises(BatchTimeoutError) as info:
-            executor.run(_Slow(), pairs)
-    assert info.value.total == 20
-    assert 0 <= info.value.completed < info.value.total
+@pytest.mark.parametrize("completed", [1, 2])
+def test_deadline_raises_batch_timeout(completed):
+    # Chunk number `completed` outlasts the deadline, so the check
+    # before the next chunk expires it.
+    pairs = [(v, REGION) for v in range(40)]
+    calls = []
 
-
-def test_per_run_timeout_overrides_default(built, fig1_net):
-    pairs = _pairs(fig1_net)
-    # Default timeout would trip on the slow target; the generous per-run
-    # override must let a real method finish.
-    with ParallelExecutor(workers=2, timeout=0.001) as executor:
-        answers = executor.run(built["3dreach"], pairs, timeout=60.0)
-    assert len(answers) == len(pairs)
-
-
-def test_timeout_counted(built):
-    with obs.observability(True):
-        obs.REGISTRY.reset()
-        with ParallelExecutor(workers=2, chunk_size=2, timeout=0.01) as ex:
-            with pytest.raises(BatchTimeoutError):
-                ex.run(_Slow(), [(0, REGION)] * 40)
-        samples = obs.REGISTRY.counter_samples()
-    assert samples.get("repro_exec_batch_timeouts_total", 0) == 1
-
-
-# ----------------------------------------------------------------------
-# Pool-unavailable fallback
-# ----------------------------------------------------------------------
-def test_sequential_fallback_when_pool_unavailable(
-    built, fig1_net, monkeypatch
-):
-    def broken_pool(*args, **kwargs):
-        raise RuntimeError("no threads in this environment")
-
-    monkeypatch.setattr(
-        "repro.exec.executor.ThreadPoolExecutor", broken_pool
-    )
-    method = built["3dreach"]
-    pairs = _pairs(fig1_net)
-    expected = method.query_batch(pairs)
-    with obs.observability(True):
-        obs.REGISTRY.reset()
-        with ParallelExecutor(workers=4) as executor:
-            assert executor.run(method, pairs) == expected
-            # The broken pool is remembered; no retry storm.
-            assert executor.run(method, pairs) == expected
-        samples = obs.REGISTRY.counter_samples()
-    assert samples["repro_exec_sequential_fallbacks_total"] == 2
-    assert samples['repro_exec_batches_total{mode="sequential"}'] == 2
-
-
-# ----------------------------------------------------------------------
-# Observability
-# ----------------------------------------------------------------------
-def test_obs_counters_and_worker_labels(built, fig1_net):
-    method = built["socreach"]
-    pairs = _pairs(fig1_net)
-    with obs.observability(True):
-        obs.REGISTRY.reset()
-        with ParallelExecutor(workers=2, chunk_size=4) as executor:
-            executor.run(method, pairs)
-        samples = obs.REGISTRY.counter_samples()
-    assert samples['repro_exec_batches_total{mode="parallel"}'] == 1
-    assert samples["repro_exec_batch_queries_total"] == len(pairs)
-    # reset() zeroes but keeps label sets from earlier tests (e.g. the
-    # MainThread label of a sequential deadline run); look at non-zero.
-    chunk_counts = {
-        key: value
-        for key, value in samples.items()
-        if key.startswith("repro_exec_chunks_total") and value > 0
-    }
-    assert sum(chunk_counts.values()) == len(executor._chunks(pairs))
-    assert all("repro-exec" in key for key in chunk_counts)
-
-
-def test_batch_trace_stitches_chunk_spans(built, fig1_net):
-    method = built["3dreach"]
-    pairs = _pairs(fig1_net)
-    with obs.observability(True):
-        with ParallelExecutor(workers=2, chunk_size=4) as executor:
-            with obs.trace("serve") as trace:
-                executor.run(method, pairs)
-    names = [node.name for _, node in trace.root.walk()]
-    assert "exec.batch" in names
-    chunk_names = [n for n in names if n.startswith("exec.chunk[")]
-    assert len(chunk_names) == len(executor._chunks(pairs))
-    # Cross-thread handoff keeps the tree shaped: worker-side spans
-    # attach *under* their exec.chunk subtree, never as flat siblings.
-    batch_span = next(
-        node for _, node in trace.root.walk() if node.name == "exec.batch"
-    )
-    assert all(
-        child.name.startswith("exec.chunk[") for child in batch_span.children
-    )
-    # The attached subtrees carry the worker-side method spans (the whole
-    # point of the handoff): query_batch uses the vectorized path, whose
-    # spans live under each chunk.
-    for chunk in batch_span.children:
-        assert chunk.children, "worker subtree should carry nested spans"
-        assert all(
-            node.name != chunk.name
-            for _, node in chunk.walk()
-            if node is not chunk
-        )
-
-
-# ----------------------------------------------------------------------
-# timeout=None sentinel and partial answers on timeout
-# ----------------------------------------------------------------------
-class _SlowAlternating:
-    """Slow target with per-query answers, to check prefix correctness."""
-
-    name = "slow-alt"
-
-    def query_batch(self, chunk):
-        time.sleep(0.02)
+    def batch(chunk):
+        calls.append(chunk)
+        if len(calls) == completed:
+            time.sleep(0.2)
         return [v % 2 == 0 for v, _ in chunk]
 
+    with pytest.raises(BatchTimeoutError) as info:
+        run_batch(batch, pairs, 0.1)
+    exc = info.value
+    assert (exc.completed, exc.total) == (completed, 4)
+    assert len(calls) == completed
+    assert exc.answers == [v % 2 == 0 for v in range(10 * completed)]
 
-def test_explicit_timeout_none_lifts_constructor_default():
-    pairs = [(0, REGION)] * 40
-    with ParallelExecutor(workers=1, chunk_size=2, timeout=0.01) as executor:
+
+def test_per_run_timeout_overrides_default(fig1_net):
+    # The service's default deadline applies to a batch without its own
+    # deadline_ms; a request's deadline_ms overrides it.
+    database = GeosocialDatabase.from_network(fig1_net)
+    service = QueryService(database, default_timeout=1e-9)
+    queries = [[v, [0, 0, 5, 5]] for v in range(fig1_net.num_vertices)]
+    with pytest.raises(BatchTimeoutError):
+        service.v1({"op": "batch", "queries": queries})
+    result = service.v1(
+        {"op": "batch", "queries": queries, "deadline_ms": 60_000}
+    )
+    assert result["answers"] == database.range_reach_many(
+        [(v, Rect(*region)) for v, region in queries]
+    )
+    service.close(persist=False)
+
+
+def test_timeout_counted():
+    with obs.observability(True):
+        obs.REGISTRY.reset()
         with pytest.raises(BatchTimeoutError):
-            executor.run(_Slow(), pairs)
-        # The same batch with timeout=None must run to completion even
-        # though the constructor set a default deadline.
-        assert executor.run(_Slow(), pairs, timeout=None) == [False] * 40
-
-
-def test_run_rejects_nonpositive_timeout(built):
-    with ParallelExecutor(workers=1) as executor:
-        for bad in (0, -1.5):
-            with pytest.raises(ValueError, match="timeout"):
-                executor.run(built["3dreach"], [(0, REGION)], timeout=bad)
+            run_batch(_slow, [(0, REGION)] * 40, 0.01)
+        samples = obs.REGISTRY.counter_samples()
+    assert samples.get("repro_exec_batch_timeouts_total", 0) == 1
 
 
 def test_partial_answers_and_counters_sequential():
@@ -247,58 +154,54 @@ def test_partial_answers_and_counters_sequential():
     expected = [v % 2 == 0 for v in range(40)]
     with obs.observability(True):
         obs.REGISTRY.reset()
-        with ParallelExecutor(workers=1, chunk_size=2, timeout=0.05) as ex:
-            with pytest.raises(BatchTimeoutError) as info:
-                ex.run(_SlowAlternating(), pairs)
+        with pytest.raises(BatchTimeoutError) as info:
+            run_batch(_slow, pairs, 0.03)
         samples = obs.REGISTRY.counter_samples()
     exc = info.value
-    assert 0 < exc.completed < exc.total == 20
+    assert 0 < exc.completed < exc.total == 4
     # The carried answers are the completed chunks' answers, in input
-    # order — an exact prefix of the full batch's answer list.
-    assert len(exc.answers) == exc.completed * 2
+    # order: an exact prefix of the full batch's answer list.
+    assert len(exc.answers) == exc.completed * 10
     assert exc.answers == expected[: len(exc.answers)]
-    # Counters reconcile: the aborted batch is still counted under its
-    # mode and only actually-answered queries are counted.
-    assert samples['repro_exec_batches_total{mode="sequential"}'] == 1
+    # Counters reconcile: the aborted batch is still counted, and only
+    # actually-answered queries are counted.
+    assert samples["repro_exec_batches_total"] == 1
     assert samples["repro_exec_batch_queries_total"] == len(exc.answers)
+    assert samples["repro_exec_chunks_total"] == exc.completed
     assert samples["repro_exec_batch_timeouts_total"] == 1
 
 
-def test_partial_answers_and_counters_parallel():
-    pairs = [(v, REGION) for v in range(60)]
-    expected = [v % 2 == 0 for v in range(60)]
+# ----------------------------------------------------------------------
+# Observability
+# ----------------------------------------------------------------------
+def test_obs_counters(built, fig1_net):
+    method = built["socreach"]
+    pairs = _pairs(fig1_net)
     with obs.observability(True):
         obs.REGISTRY.reset()
-        with ParallelExecutor(workers=2, chunk_size=2, timeout=0.06) as ex:
-            with pytest.raises(BatchTimeoutError) as info:
-                ex.run(_SlowAlternating(), pairs)
+        run_batch(method.query_batch, pairs, None)
+        untimed = obs.REGISTRY.counter_samples()
+        run_batch(method.query_batch, pairs, 60.0)
         samples = obs.REGISTRY.counter_samples()
-    exc = info.value
-    assert exc.total == 30 and exc.completed < exc.total
-    assert len(exc.answers) == exc.completed * 2
-    assert exc.answers == expected[: len(exc.answers)]
-    assert samples['repro_exec_batches_total{mode="parallel"}'] == 1
-    assert samples["repro_exec_batch_queries_total"] == len(exc.answers)
-    assert samples["repro_exec_batch_timeouts_total"] == 1
+    # A batch without a deadline does no exec bookkeeping.
+    assert untimed["repro_exec_batches_total"] == 0
+    assert samples["repro_exec_batches_total"] == 1
+    assert samples["repro_exec_batch_queries_total"] == len(pairs)
+    assert samples["repro_exec_chunks_total"] == 4
 
 
-def test_partial_answers_and_counters_fallback(monkeypatch):
-    def broken_pool(*args, **kwargs):
-        raise RuntimeError("no threads in this environment")
-
-    monkeypatch.setattr(
-        "repro.exec.executor.ThreadPoolExecutor", broken_pool
+def test_batch_trace_stitches_chunk_spans(built, fig1_net):
+    method = built["3dreach"]
+    pairs = _pairs(fig1_net)
+    with obs.observability(True):
+        with obs.trace("serve") as trace:
+            run_batch(method.query_batch, pairs, 60.0)
+    batch_span = next(
+        node for _, node in trace.root.walk() if node.name == "exec.batch"
     )
-    pairs = [(v, REGION) for v in range(40)]
-    expected = [v % 2 == 0 for v in range(40)]
-    with obs.observability(True):
-        obs.REGISTRY.reset()
-        with ParallelExecutor(workers=4, chunk_size=2, timeout=0.05) as ex:
-            with pytest.raises(BatchTimeoutError) as info:
-                ex.run(_SlowAlternating(), pairs)
-        samples = obs.REGISTRY.counter_samples()
-    exc = info.value
-    assert exc.answers == expected[: len(exc.answers)]
-    assert samples["repro_exec_sequential_fallbacks_total"] == 1
-    assert samples['repro_exec_batches_total{mode="sequential"}'] == 1
-    assert samples["repro_exec_batch_queries_total"] == len(exc.answers)
+    assert [child.name for child in batch_span.children] == [
+        f"exec.chunk[{i}]" for i in range(4)
+    ]
+    # The method's own spans nest under the chunk that ran them.
+    for chunk in batch_span.children:
+        assert chunk.children, "chunk span should carry nested spans"

@@ -34,7 +34,6 @@ from repro.core import (
     ThreeDReach,
     ThreeDReachRev,
 )
-from repro.exec import ParallelExecutor
 from repro.geosocial import condense_network
 from repro.kernels import (
     make_bfl_kernel,
@@ -413,7 +412,7 @@ def test_sharded_database_parity(seed, data):
 
 
 # ----------------------------------------------------------------------
-# Batched / parallel / overlay smoke under each backend
+# Batched / deadline / overlay smoke under each backend
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKEND_PAIR)
 def test_parallel_and_overlay_paths(backend):
@@ -435,11 +434,7 @@ def test_parallel_and_overlay_paths(backend):
         for _ in range(32)
     ]
     sequential = database.range_reach_many(queries)
-    executor = ParallelExecutor(workers=3)
-    try:
-        assert executor.run(database, queries) == sequential
-    finally:
-        executor.close()
+    assert database.range_reach_many(queries, timeout=60.0) == sequential
     # Push the database into overlay mode and query through it again.
     users = [v for v in range(n) if kinds[v] == "user"]
     venues = [v for v in range(n) if kinds[v] == "venue"]

@@ -199,7 +199,7 @@ class _SlowDatabase:
         time.sleep(0.12)
         return True
 
-    def range_reach_many(self, pairs, executor=None, *, timeout=None):
+    def range_reach_many(self, pairs, *, timeout=None):
         raise BatchTimeoutError(
             "batch deadline exceeded", completed=0, total=1, answers=[]
         )

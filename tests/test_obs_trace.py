@@ -8,7 +8,6 @@ from repro import obs
 from repro.obs.trace import (
     _NOOP_SPAN,
     active_trace,
-    capture,
     new_trace_id,
     parse_traceparent,
     span,
@@ -140,62 +139,6 @@ def test_trace_ids_and_request_id_validation():
     assert not valid_request_id("")
     assert not valid_request_id("has space")
     assert not valid_request_id("x" * 65)
-
-
-def test_capture_attach_stitches_worker_subtree():
-    with obs.trace("query") as t:
-        with span("exec"):
-            ctx = capture()
-            assert ctx is not None
-            assert ctx.trace_id == t.trace_id
-
-            def work():
-                with ctx.attach("chunk"):
-                    with span("inner"):
-                        pass
-
-            worker = threading.Thread(target=work)
-            worker.start()
-            worker.join()  # the captured span stays open until joined
-    exec_span = t.root.children[0]
-    assert [c.name for c in exec_span.children] == ["chunk"]
-    assert [c.name for c in exec_span.children[0].children] == ["inner"]
-
-
-def test_capture_returns_none_outside_trace():
-    assert capture() is None
-
-
-def test_attach_after_captured_span_closed_drops_subtree():
-    with obs.trace("query") as t:
-        with span("exec"):
-            ctx = capture()
-    # The captured span (and trace) already closed — e.g. a batch timed
-    # out and abandoned this chunk.  The late subtree must be dropped,
-    # not stitched into a tree the recorder may be serializing.
-    with ctx.attach("late-chunk"):
-        pass
-    exec_span = t.root.children[0]
-    assert exec_span.children == []
-
-
-def test_worker_spans_do_not_leak_into_worker_thread_state():
-    with obs.trace("query"):
-        with span("exec"):
-            ctx = capture()
-            state: dict = {}
-
-            def work():
-                with ctx.attach("chunk"):
-                    pass
-                # After detaching, the worker thread is traceless again.
-                state["tracing_after"] = tracing()
-                state["span_after"] = span("x") is _NOOP_SPAN
-
-            worker = threading.Thread(target=work)
-            worker.start()
-            worker.join()
-    assert state == {"tracing_after": False, "span_after": True}
 
 
 def test_concurrent_traces_do_not_cross_talk():

@@ -24,7 +24,7 @@ from test_obs_export import parse_exposition
 import repro
 from repro.core import RangeReachOracle
 from repro.datasets import make_network
-from repro.exec import BatchTimeoutError, ParallelExecutor
+from repro.exec import BatchTimeoutError
 from repro.geometry import Rect
 from repro.serve import (
     DrainingError,
@@ -231,7 +231,7 @@ def test_admission_control_429_and_drain_503(tiny_net):
 class _TimingOutDatabase:
     snapshot_dir = None
 
-    def range_reach_many(self, pairs, executor=None, *, timeout=None):
+    def range_reach_many(self, pairs, *, timeout=None):
         raise BatchTimeoutError(
             "batch deadline of 1s exceeded after 2/5 chunks",
             completed=2, total=5, answers=[True, False],
@@ -283,19 +283,17 @@ def test_service_level_admission_exceptions(tiny_net):
     service.close(persist=False)
 
 
-def test_service_owns_executor_and_batch_parity(tiny_net):
+def test_service_deadline_batch_parity(tiny_net):
     database = GeosocialDatabase.from_network(tiny_net)
     oracle = RangeReachOracle(tiny_net)
-    service = QueryService(
-        database, executor=ParallelExecutor(workers=2, chunk_size=8)
-    )
+    service = QueryService(database)
     space = tiny_net.space()
     region = [space.xlo, space.ylo, space.xhi, space.yhi]
     queries = [[v, region] for v in range(0, tiny_net.num_vertices, 5)]
-    result = service.v1({"op": "batch", "queries": queries})
-    assert result["answers"] == [
-        oracle.query(v, Rect(*region)) for v, _ in queries
-    ]
+    expected = [oracle.query(v, Rect(*region)) for v, _ in queries]
+    for deadline in ({}, {"deadline_ms": 60_000}):
+        result = service.v1({"op": "batch", "queries": queries, **deadline})
+        assert result["answers"] == expected
     service.close(persist=False)
     # Closing again is a no-op.
     assert service.close(persist=False) is False

@@ -265,6 +265,32 @@ def test_v1_validation_errors(server, tiny_net):
         assert needle in body["error"], (payload, body)
 
 
+def test_v1_rejects_non_finite_numbers(server, service):
+    # json.loads accepts NaN and +-Infinity; none of them is a deadline,
+    # a coordinate or a venue position.
+    _, base = server
+    delta = service.stats()["database"]["delta_size"]
+    cases = [
+        (b'{"op": "batch", "queries": [[0, [0, 0, 1, 1]]],'
+         b' "deadline_ms": NaN}', "deadline_ms"),
+        (b'{"op": "batch", "queries": [[0, [0, 0, 1, 1]]],'
+         b' "deadline_ms": Infinity}', "deadline_ms"),
+        (b'{"op": "query", "vertex": 0, "region": [NaN, 0, 1, 1]}',
+         "region coordinate"),
+        (b'{"op": "batch", "queries": [[0, [0, 0, Infinity, 1]]]}',
+         "region coordinate"),
+        (b'{"op": "write", "method": "add_venue", "x": NaN, "y": 0.5}', "x"),
+        (b'{"op": "write", "method": "add_venue", "x": 0.5,'
+         b' "y": -Infinity}', "y"),
+    ]
+    for raw, needle in cases:
+        code, body, _ = _post(base, "/v1", None, raw=raw)
+        assert code == 400, raw
+        assert needle in body["error"] and "finite" in body["error"], body
+    # No venue was created.
+    assert service.stats()["database"]["delta_size"] == delta
+
+
 # ----------------------------------------------------------------------
 # /v1 over a sharded database
 # ----------------------------------------------------------------------
@@ -282,6 +308,21 @@ def test_v1_sharded_matches_oracle(sharded_server, tiny_net):
     code, body, _ = _post(base, "/v1", {"op": "batch", "queries": queries})
     assert code == 200
     assert body["answers"] == [oracle.query(v, rect) for v, _ in queries]
+
+
+def test_v1_sharded_batch_deadline_504(sharded_server, tiny_net):
+    _, base = sharded_server
+    region = _space_region(tiny_net)
+    queries = [[v, region] for v in range(64)]
+    code, body, _ = _post(base, "/v1", {
+        "op": "batch", "queries": queries, "deadline_ms": 1e-6,
+    })
+    assert code == 504
+    assert 0 <= body["completed_chunks"] < body["total_chunks"]
+    code, body, _ = _post(base, "/v1", {
+        "op": "batch", "queries": queries, "deadline_ms": 60_000,
+    })
+    assert code == 200 and len(body["answers"]) == len(queries)
 
 
 def test_v1_sharded_shard_hint(sharded_server, tiny_net):

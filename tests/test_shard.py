@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.base import RangeReachMethod
 from repro.core.oracle import RangeReachOracle
-from repro.exec import ParallelExecutor
+from repro.exec import BatchTimeoutError
 from repro.geometry import Point, Rect
 from repro.geosocial.network import GeosocialNetwork
 from repro.graph.digraph import DiGraph
@@ -23,6 +23,7 @@ from repro.shard import (
     partition_network,
 )
 from repro.system import GeosocialDatabase
+from tests.helpers import stall_second_call, weeplaces_batch
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -220,8 +221,7 @@ def test_sharded_matches_oracle_on_small_net(small_net):
     pairs = [(v, r) for v in range(8) for r in regions]
     expected = [oracle.query(v, r) for v, r in pairs]
     assert database.range_reach_many(pairs) == expected
-    with ParallelExecutor(workers=2) as executor:
-        assert database.range_reach_many(pairs, executor) == expected
+    assert database.range_reach_many(pairs, timeout=60.0) == expected
 
 
 def test_sharded_accepts_tuple_regions(small_net):
@@ -420,12 +420,10 @@ def test_sharded_stats_aggregate(small_net):
 
 
 def test_sharded_timeout_propagates(small_net):
-    from repro.exec import BatchTimeoutError
-
     database = ShardedDatabase.from_network(small_net, shards=2)
     database.range_reach(0, UNIT)  # build indexes outside the deadline
 
-    original = database._scatter.query_batch
+    original = database._scatter_batch
 
     def slow_batch(chunk):
         import time
@@ -433,11 +431,27 @@ def test_sharded_timeout_propagates(small_net):
         time.sleep(0.05)
         return original(chunk)
 
-    database._scatter.query_batch = slow_batch
+    database._scatter_batch = slow_batch
     pairs = [(v % 8, UNIT) for v in range(64)]
-    with ParallelExecutor(workers=1, chunk_size=4) as executor:
-        with pytest.raises(BatchTimeoutError):
-            database.range_reach_many(pairs, executor, timeout=0.01)
+    with pytest.raises(BatchTimeoutError):
+        database.range_reach_many(pairs, timeout=0.01)
+
+
+def test_sharded_timeout_answers_are_a_caller_prefix():
+    # Each query scatters into many (shard, entry) sub-queries; a
+    # timed-out batch must report the caller's answers, not the
+    # sub-queries'.
+    network, _, pairs = weeplaces_batch()
+    database = ShardedDatabase.from_network(network, shards=4)
+    full = database.range_reach_many(pairs)
+    database._scatter_batch = stall_second_call(database._scatter_batch, 1.1)
+    with pytest.raises(BatchTimeoutError) as info:
+        database.range_reach_many(pairs, timeout=1.0)
+    exc = info.value
+    assert exc.completed == 2 and exc.total == 4
+    assert 0 < len(exc.answers) < len(pairs)
+    assert exc.answers == full[: len(exc.answers)]
+    assert True in exc.answers
 
 
 def test_sharded_empty_start_supports_writes():

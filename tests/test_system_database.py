@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.exec import BatchTimeoutError
 from repro.geometry import Rect
 from repro.system import GeosocialDatabase
+from tests.helpers import stall_second_call, weeplaces_batch
 
 
 @pytest.fixture
@@ -145,6 +147,29 @@ def test_new_vertices_served_by_overlay(db):
     venue, distance = database.nearest_reachable(u2, 0.5, 0.5)
     assert venue == v2 and distance == pytest.approx(0.0)
     assert database.num_rebuilds == rebuilds
+
+
+def test_timed_out_overlay_batch_answers_are_a_caller_prefix():
+    # Over a pending delta each query becomes one snapshot sub-query per
+    # overlay root; a timed-out batch must report the caller's answers,
+    # not the sub-queries'.
+    network, users, pairs = weeplaces_batch()
+    venues = [v for v in range(network.num_vertices) if v not in users]
+    database = GeosocialDatabase.from_network(network)
+    database.refresh()
+    for user, venue in zip(users, venues[::60]):
+        database.add_checkin(user, venue)
+    assert database.delta_size > 0 and not database.is_stale
+    full = database.range_reach_many(pairs)
+    engine = database._snapshot()
+    engine.query_batch = stall_second_call(engine.query_batch, 1.1)
+    with pytest.raises(BatchTimeoutError) as info:
+        database.range_reach_many(pairs, timeout=1.0)
+    exc = info.value
+    assert exc.completed == 2 and exc.total == 4
+    assert 0 < len(exc.answers) < len(pairs)
+    assert exc.answers == full[: len(exc.answers)]
+    assert True in exc.answers
 
 
 def test_queries_between_writes_reuse_snapshot(db):
