@@ -6,21 +6,14 @@
 * **Spanning-forest strategy** — the paper's future work asks about
   "optimal (e.g., shallow) spanning forests"; we compare child-visit
   orders by the compressed label count they induce.
-* **DAG reduction preprocessing** — transitive + equivalence reduction
-  (Section 7.1's acceleration idea) before labeling: fewer vertices and
-  edges, smaller labelings, same answers.
-* **SocReach descendant access** — array walk vs B+-tree range scans
-  (the two options named in Section 4.1).
 """
 
 import pytest
 
-from repro.bench import bench_datasets, format_table, time_queries
-from repro.bench.experiments import DEFAULT_BUCKET, DEFAULT_EXTENT, get_workload
-from repro.bench.harness import bench_num_queries, get_bundle, get_condensed
+from repro.bench import bench_datasets, format_table
+from repro.bench.harness import get_condensed
 from repro.datasets import make_network
 from repro.geosocial import condense_network
-from repro.graph import reduce_dag
 from repro.graph.traversal import dfs_forest
 from repro.labeling import build_labeling
 
@@ -83,39 +76,6 @@ def test_forest_strategy_report(benchmark, report):
     )
 
 
-def test_dag_reduction_report(benchmark, report):
-    def sweep():
-        rows = []
-        for dataset in bench_datasets():
-            dag = get_condensed(dataset).dag
-            reduced = reduce_dag(dag)
-            before = build_labeling(dag).stats()
-            after = build_labeling(reduced.dag).stats()
-            rows.append(
-                [
-                    dataset,
-                    dag.num_vertices, reduced.dag.num_vertices,
-                    dag.num_edges, reduced.dag.num_edges,
-                    before.compressed_labels, after.compressed_labels,
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for row in rows:
-        _, v0, v1, e0, e1, l0, l1 = row
-        assert v1 <= v0 and e1 <= e0 and l1 <= l0
-    report(
-        format_table(
-            ["dataset", "|V|", "|V| reduced", "|E|", "|E| reduced",
-             "labels", "labels reduced"],
-            rows,
-            title="Ablation — DAG reduction (transitive + equivalence) "
-                  "before labeling",
-        )
-    )
-
-
 def test_post_stride_report(benchmark, report):
     """Gapped numbering (Section 4.1's update head-room) vs compression."""
 
@@ -143,27 +103,3 @@ def test_post_stride_report(benchmark, report):
             ),
         )
     )
-
-
-@pytest.mark.parametrize("variant", ["socreach", "socreach-bptree"])
-def test_socreach_access_path(benchmark, variant):
-    dataset = _dataset()
-    bundle = get_bundle(dataset, ("socreach", "socreach-bptree"))
-    batch = get_workload(dataset).batch_by_extent(
-        DEFAULT_EXTENT, DEFAULT_BUCKET, bench_num_queries()
-    )
-    method = bundle[variant]
-    avg, _ = benchmark.pedantic(
-        lambda: time_queries(method, batch), rounds=3, iterations=1
-    )
-    benchmark.extra_info["avg_query_us"] = avg * 1e6
-
-
-def test_socreach_access_paths_agree():
-    dataset = _dataset()
-    bundle = get_bundle(dataset, ("socreach", "socreach-bptree"))
-    batch = get_workload(dataset).batch_by_extent(DEFAULT_EXTENT, DEFAULT_BUCKET, 25)
-    for query in batch:
-        assert bundle["socreach"].query(query.vertex, query.region) == bundle[
-            "socreach-bptree"
-        ].query(query.vertex, query.region)

@@ -216,16 +216,6 @@ _METHOD_FACTORIES: dict[str, Callable[..., RangeReachMethod]] = {
     "spareach-int-mbr": lambda cn, ctx=None: SpaReach(cn, reach_index="interval", scc_mode="mbr", context=ctx),
     "3dreach-mbr": lambda cn, ctx=None: ThreeDReach(cn, scc_mode="mbr", context=ctx),
     "3dreach-rev-mbr": lambda cn, ctx=None: ThreeDReachRev(cn, scc_mode="mbr", context=ctx),
-    # Ablation variants (not part of the paper's figures).
-    "spareach-bfl-streaming": lambda cn, ctx=None: SpaReach(cn, reach_index="bfl", streaming=True, context=ctx),
-    "spareach-pll": lambda cn, ctx=None: SpaReach(cn, reach_index="pll", context=ctx),
-    "spareach-grail": lambda cn, ctx=None: SpaReach(cn, reach_index="grail", context=ctx),
-    "spareach-feline": lambda cn, ctx=None: SpaReach(cn, reach_index="feline", context=ctx),
-    "spareach-chain": lambda cn, ctx=None: SpaReach(cn, reach_index="chain", context=ctx),
-    "spareach-bfl-quadtree": lambda cn, ctx=None: SpaReach(cn, reach_index="bfl", spatial_index="quadtree", context=ctx),
-    "spareach-bfl-grid": lambda cn, ctx=None: SpaReach(cn, reach_index="bfl", spatial_index="grid", context=ctx),
-    "spareach-bfl-linear": lambda cn, ctx=None: SpaReach(cn, reach_index="bfl", spatial_index="linear", context=ctx),
-    "socreach-bptree": lambda cn, ctx=None: SocReach(cn, descendant_access="bptree", context=ctx),
 }
 
 PAPER_METHODS = ("spareach-bfl", "georeach", "socreach", "3dreach", "3dreach-rev")

@@ -2,8 +2,8 @@
 
 Evaluate the spatial range query first (via a 2-D R-tree over the spatial
 vertices), then issue one graph-reachability query per candidate until a
-positive answer terminates the search.  The reachability index is
-pluggable; the paper's two instantiations are:
+positive answer terminates the search.  The paper's two instantiations
+are:
 
 * **SpaReach-BFL** — ``reach_index="bfl"`` (default), and
 * **SpaReach-INT** — ``reach_index="interval"``.
@@ -11,7 +11,7 @@ pluggable; the paper's two instantiations are:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.base import RangeReachBase, register_method
 from repro.geometry import Rect
@@ -19,29 +19,12 @@ from repro.obs import instruments as _inst
 from repro.obs.metrics import enabled as _obs_enabled
 from repro.obs.trace import span as _span
 from repro.geosocial.scc_handling import SCC_MODES, CondensedNetwork, SccMode
-from repro.graph.digraph import DiGraph
-from repro.reach import (
-    BflReach,
-    BfsReach,
-    ChainCoverReach,
-    FelineReach,
-    GrailReach,
-    IntervalReach,
-    PllReach,
-)
+from repro.reach import IntervalReach
 from repro.reach.base import ReachabilityIndex
 from repro.pipeline import BuildContext
 from repro.spatial import RTree
 
-_REACH_FACTORIES: dict[str, Callable[[DiGraph], ReachabilityIndex]] = {
-    "bfl": BflReach,
-    "interval": IntervalReach,
-    "bfs": BfsReach,
-    "pll": PllReach,
-    "grail": GrailReach,
-    "feline": FelineReach,
-    "chain": ChainCoverReach,
-}
+_REACH_INDEXES = ("bfl", "interval")
 
 
 class SpaReach(RangeReachBase):
@@ -49,28 +32,17 @@ class SpaReach(RangeReachBase):
 
     Args:
         network: the condensed geosocial network.
-        reach_index: name of the reachability scheme (``"bfl"``,
-            ``"interval"``, ``"pll"``, ``"grail"``, ``"bfs"``) or a
-            callable mapping the condensation DAG to an index.
+        reach_index: ``"bfl"`` (SpaReach-BFL, the context's shared BFL
+            index) or ``"interval"`` (SpaReach-INT, over the context's
+            forward interval labeling).
         scc_mode: ``"replicate"`` indexes every member point of a spatial
             SCC individually; ``"mbr"`` indexes one MBR per spatial SCC and
             verifies member points on candidate hits (Section 5).
         rtree_capacity: R-tree node fan-out.
-        streaming: the paper's SpaReach "first identif[ies] every spatial
-            vertex inside R" — i.e. it materializes the complete range
-            result before any reachability test, which is what makes it
-            degrade with region extent.  ``streaming=True`` enables the
-            obvious engineering fix (consume candidates lazily, stop at
-            the first reachable one); kept off by default for fidelity
-            and benchmarked as an ablation.
-        spatial_index: ``"rtree"`` (default, the paper's choice),
-            ``"quadtree"``, ``"grid"`` or ``"linear"``.  The paper notes
-            SpaReach works with any spatial index; the SOP alternatives
-            store points only, so they require ``scc_mode="replicate"``.
         context: shared :class:`BuildContext` to construct through.  Both
-            SpaReach variants draw the same bulk-load feed and R-tree from
-            it, and SpaReach-INT shares the context's forward interval
-            labeling with SocReach/3DReach.
+            SpaReach variants draw the same R-tree from it, and
+            SpaReach-INT shares the context's forward interval labeling
+            with SocReach/3DReach.
         kernels: validated and exposed as ``.kernels``; selects no code
             here — SpaReach always runs the R-tree range query and the
             scalar, early-exit series of ``GReach`` tests.
@@ -79,86 +51,35 @@ class SpaReach(RangeReachBase):
     def __init__(
         self,
         network: CondensedNetwork,
-        reach_index: str | Callable[[DiGraph], ReachabilityIndex] = "bfl",
+        reach_index: str = "bfl",
         scc_mode: SccMode = "replicate",
         rtree_capacity: int = 16,
-        streaming: bool = False,
-        spatial_index: str = "rtree",
         context: BuildContext | None = None,
         kernels: str | None = None,
     ) -> None:
         if scc_mode not in SCC_MODES:
             raise ValueError(f"scc_mode must be one of {SCC_MODES}")
+        if reach_index not in _REACH_INDEXES:
+            raise ValueError(
+                f"unknown reachability index {reach_index!r}; "
+                f"known: {', '.join(_REACH_INDEXES)}"
+            )
         context = self._build_context(network, context, kernels)
-        if isinstance(reach_index, str):
-            try:
-                factory = _REACH_FACTORIES[reach_index]
-            except KeyError:
-                known = ", ".join(sorted(_REACH_FACTORIES))
-                raise ValueError(
-                    f"unknown reachability index {reach_index!r}; known: {known}"
-                ) from None
-        else:
-            factory = reach_index
         self._network = network
         self._scc_mode = scc_mode
-        self._streaming = streaming
         if reach_index == "interval":
             # SpaReach-INT's reachability labels are the same forward
             # interval labeling SocReach/3DReach use — share it.
             self._reach = IntervalReach(
                 network.dag, labeling=context.labeling()
             )
-        elif reach_index == "bfl":
-            # Shared (and snapshot-persisted) BFL index at the default
-            # parameters; custom factories below still bypass the cache.
-            self._reach = context.bfl_reach()
         else:
-            self._reach = factory(network.dag)
+            # Shared (and snapshot-persisted) BFL index.
+            self._reach = context.bfl_reach()
         self.name = f"spareach-{self._reach.name}"
         if scc_mode == "mbr":
             self.name += "-mbr"
-        if streaming:
-            self.name += "-streaming"
-
-        if spatial_index not in ("rtree", "quadtree", "grid", "linear"):
-            raise ValueError(
-                "spatial_index must be 'rtree', 'quadtree', 'grid' or 'linear'"
-            )
-        if spatial_index in ("quadtree", "grid") and scc_mode == "mbr":
-            raise ValueError(
-                f"the {spatial_index} index stores points only; "
-                "use scc_mode='replicate'"
-            )
-        if spatial_index != "rtree":
-            self.name += f"-{spatial_index}"
-
-        entries = (
-            context.replicate_feed()
-            if scc_mode == "replicate"
-            else context.mbr_feed()
-        )
-        if spatial_index == "rtree":
-            self._rtree = context.spatial_rtree(scc_mode, rtree_capacity)
-        elif spatial_index == "linear":
-            from repro.spatial import LinearScanIndex
-
-            self._rtree = LinearScanIndex.bulk_load(entries, dims=2)
-        else:
-            from repro.spatial import QuadTree, UniformGridIndex
-
-            extent = network.network.space()
-            if extent.width <= 0 or extent.height <= 0:
-                extent = extent.union(
-                    Rect(extent.xlo - 0.5, extent.ylo - 0.5,
-                         extent.xhi + 0.5, extent.yhi + 0.5)
-                )
-            if spatial_index == "quadtree":
-                self._rtree = QuadTree.bulk_load(
-                    entries, extent, leaf_capacity=rtree_capacity
-                )
-            else:
-                self._rtree = UniformGridIndex.bulk_load(entries, extent)
+        self._rtree = context.spatial_rtree(scc_mode, rtree_capacity)
 
         self._bind_counters()
         self._m_candidates = _inst.SPAREACH_CANDIDATES.labels(method=self.name)
@@ -166,44 +87,37 @@ class SpaReach(RangeReachBase):
     # ------------------------------------------------------------------
     def query(self, v: int, region: Rect) -> bool:
         with _span(f"{self.name}.query"):
-            bounds = region.as_tuple()
-            if self._streaming:
-                candidates, seen = self._rtree.search(bounds), None
-            else:
-                # Faithful SpaReach: evaluate SRange(P, R) in full, *then*
-                # run the series of GReach tests (Section 2.2.1).
-                candidates = self._rtree.search_all(bounds)
-                seen = len(candidates)
+            # Evaluate SRange(P, R) in full, *then* run the series of
+            # GReach tests (Section 2.2.1).
+            candidates = self._rtree.search_all(region.as_tuple())
             return self._greach_series(
-                self._network.super_of(v), region, candidates, seen,
-                self._scc_mode == "mbr",
+                self._network.super_of(v), region, candidates,
+                len(candidates), self._scc_mode == "mbr",
             )
 
     def _greach_series(
         self,
         source: int,
         region: Rect,
-        candidates,
-        seen: int | None,
+        candidates: Sequence[int],
+        seen: int,
         verify: bool,
     ) -> bool:
         """One ``GReach`` test per distinct candidate until one succeeds.
 
-        ``seen`` is the SRange result size this query is charged with
-        (``None``: count the candidates as the stream is consumed).
+        ``seen`` is the SRange result size this query is charged with.
         ``verify`` says whether the candidates still need the MBR-mode
         spatial verification — an intersecting MBR does not prove a
         member point lies inside the region.
         """
         reaches = self._reach.reaches
         hits_region = self._network.component_hits_region
-        consumed = reach_tests = verified = 0
+        reach_tests = verified = 0
         answer = False
         # Candidates arrive per point; distinct points of one SCC map to
         # the same super-vertex, so each is tested once.
         tested: set[int] = set()
         for component in candidates:
-            consumed += 1
             if component in tested:
                 continue
             tested.add(component)
@@ -219,7 +133,7 @@ class SpaReach(RangeReachBase):
             self._m_queries.inc()
             if answer:
                 self._m_positives.inc()
-            self._m_candidates.inc(consumed if seen is None else seen)
+            self._m_candidates.inc(seen)
             self._m_probes.inc(reach_tests)
             self._m_verified.inc(
                 verified if self._scc_mode == "mbr" else reach_tests
@@ -237,10 +151,6 @@ class SpaReach(RangeReachBase):
         runs once), and every query over that region reuses the
         candidate list for its reachability tests.  Distinct
         ``(source, region)`` pairs likewise memoize their final answer.
-
-        The streaming ablation materializes candidate lists here too —
-        batching is itself the "stop early" engineering fix writ large,
-        and the answers are identical either way.
         """
         if not pairs:
             return []
@@ -283,12 +193,9 @@ class SpaReach(RangeReachBase):
         SCC variant inflates the index by tens of percent.
         """
         entry_floats = 2 if self._scc_mode == "replicate" else 4
-        if isinstance(self._rtree, RTree):
-            spatial = _rtree_size_bytes(self._rtree, entry_floats)
-        else:
-            # SOP / linear indexes: geometry + one id per entry.
-            spatial = len(self._rtree) * (8 * entry_floats + 8)
-        return self._reach.size_bytes() + spatial
+        return self._reach.size_bytes() + _rtree_size_bytes(
+            self._rtree, entry_floats
+        )
 
     @property
     def reach_index(self) -> ReachabilityIndex:

@@ -65,7 +65,6 @@ from repro.obs.trace import (
     active_trace,
     new_trace_id,
     parse_traceparent,
-    record_span,
     span,
     trace,
     tracing,
@@ -98,7 +97,6 @@ __all__ = [
     "new_trace_id",
     "observability",
     "parse_traceparent",
-    "record_span",
     "render_json",
     "render_prometheus",
     "span",

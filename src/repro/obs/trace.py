@@ -13,8 +13,6 @@ check per span site.  Traces are **thread-local** and non-reentrant (one
 trace per thread): a trace opened on the serving thread never sees spans
 opened by other threads.  A batch is served on the thread that traces
 it, so its ``exec.chunk[i]`` spans nest like any other.
-:func:`record_span` attaches already-timed flat intervals from the
-owning thread.
 
 Every trace carries a **trace id** — a 32-hex-digit token in the W3C
 ``traceparent`` trace-id format — either supplied by the caller (e.g.
@@ -41,7 +39,6 @@ __all__ = [
     "span",
     "active_trace",
     "tracing",
-    "record_span",
     "new_trace_id",
     "parse_traceparent",
     "valid_request_id",
@@ -319,23 +316,6 @@ def span(name: str):
     if active is None:
         return _NOOP_SPAN
     return _SpanContext(name, sample_counters=active.sample_counters)
-
-
-def record_span(name: str, start: float, end: float) -> Span | None:
-    """Attach an already-timed span to the innermost open span.
-
-    A thread holding the trace records a plain ``perf_counter``
-    interval measured elsewhere.  No-op (returns None) when the calling
-    thread is not tracing.
-    """
-    current = _get_current()
-    if current is None:
-        return None
-    child = Span(name)
-    child.start = start
-    child.end = end
-    current.children.append(child)
-    return child
 
 
 class trace:

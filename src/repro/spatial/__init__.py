@@ -12,8 +12,6 @@ index is included as the correctness reference for tests.
 from repro.spatial.rtree import RTree, RTreeStats
 from repro.spatial.grid import Cell, HierarchicalGrid
 from repro.spatial.linear import LinearScanIndex
-from repro.spatial.quadtree import QuadTree
-from repro.spatial.uniform_grid import UniformGridIndex
 
 __all__ = [
     "RTree",
@@ -21,6 +19,4 @@ __all__ = [
     "Cell",
     "HierarchicalGrid",
     "LinearScanIndex",
-    "QuadTree",
-    "UniformGridIndex",
 ]

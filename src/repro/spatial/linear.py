@@ -1,8 +1,7 @@
 """Linear-scan spatial index.
 
-The correctness reference for the R-tree in tests, and the "no index"
-baseline for the indexing-ablation benchmark: a flat list of entries that
-answers every query by a full scan.
+The correctness reference for the R-tree in tests: a flat list of
+entries that answers every query by a full scan.
 """
 
 from __future__ import annotations

@@ -31,12 +31,7 @@ from repro.geosocial import condense_network
 METHOD_FACTORIES = {
     "spareach-bfl": lambda cn: SpaReach(cn, reach_index="bfl"),
     "spareach-int": lambda cn: SpaReach(cn, reach_index="interval"),
-    "spareach-pll": lambda cn: SpaReach(cn, reach_index="pll"),
-    "spareach-grail": lambda cn: SpaReach(cn, reach_index="grail"),
     "spareach-bfl-mbr": lambda cn: SpaReach(cn, reach_index="bfl", scc_mode="mbr"),
-    "spareach-int-streaming": lambda cn: SpaReach(
-        cn, reach_index="interval", streaming=True
-    ),
     "georeach": lambda cn: GeoReach(cn),
     "georeach-tight": lambda cn: GeoReach(
         cn, GeoReachParams(max_reach_grids=2, merge_count=1, grid_levels=4)

@@ -104,15 +104,6 @@ def test_socreach_early_exit_shortens_scan(condensed):
     assert of(delta, "repro_socreach_descendants_scanned_total", method) <= 10
 
 
-def test_socreach_bptree_counts_spatial_only(condensed):
-    method = SocReach(condensed, descendant_access="bptree")
-    answer, delta = query_delta(method, FIG1_INDEX["c"], FIG1_REGION)
-    assert answer is False
-    # The B+-tree skips non-spatial descendants entirely: only f and i.
-    assert of(delta, "repro_socreach_descendants_scanned_total", method) == 2
-    assert of(delta, "repro_method_candidates_verified_total", method) == 2
-
-
 def test_threedreach_counts_cuboids(condensed):
     method = ThreeDReach(condensed)
     # A negative query must issue one 3-D range query per label of c

@@ -3,9 +3,8 @@
 import pytest
 
 from helpers import FIG1_INDEX, FIG1_REGION, fig1_network
-from repro.core import SpaReach
+from repro.core import SocReach, SpaReach
 from repro.geosocial import condense_network
-from repro.reach import BflReach
 
 
 @pytest.fixture
@@ -16,6 +15,15 @@ def condensed():
 def test_unknown_reach_index_rejected(condensed):
     with pytest.raises(ValueError, match="unknown reachability index"):
         SpaReach(condensed, reach_index="nope")
+    # Only the paper's two variants remain; the error names both.
+    with pytest.raises(ValueError, match="bfl, interval"):
+        SpaReach(condensed, reach_index="pll")
+    with pytest.raises(TypeError):
+        SpaReach(condensed, streaming=True)
+    with pytest.raises(TypeError):
+        SpaReach(condensed, spatial_index="rtree")
+    with pytest.raises(TypeError):
+        SocReach(condensed, descendant_access="array")
 
 
 def test_unknown_scc_mode_rejected(condensed):
@@ -23,19 +31,10 @@ def test_unknown_scc_mode_rejected(condensed):
         SpaReach(condensed, scc_mode="banana")
 
 
-def test_callable_reach_factory(condensed):
-    method = SpaReach(condensed, reach_index=BflReach)
-    assert method.query(FIG1_INDEX["a"], FIG1_REGION) is True
-
-
 def test_name_reflects_configuration(condensed):
     assert SpaReach(condensed, "bfl").name == "spareach-bfl"
     assert SpaReach(condensed, "interval").name == "spareach-interval"
     assert SpaReach(condensed, "bfl", scc_mode="mbr").name == "spareach-bfl-mbr"
-    assert (
-        SpaReach(condensed, "bfl", streaming=True).name
-        == "spareach-bfl-streaming"
-    )
 
 
 def test_rtree_indexes_all_spatial_vertices(condensed):
@@ -47,14 +46,6 @@ def test_mbr_mode_indexes_components(condensed):
     method = SpaReach(condensed, scc_mode="mbr")
     # fig1 is a DAG: every spatial vertex is its own component
     assert len(method.rtree) == 6
-
-
-def test_streaming_and_materialized_agree(condensed):
-    full = SpaReach(condensed, "bfl")
-    streaming = SpaReach(condensed, "bfl", streaming=True)
-    for name in "abcdefghijkl":
-        v = FIG1_INDEX[name]
-        assert full.query(v, FIG1_REGION) == streaming.query(v, FIG1_REGION)
 
 
 def test_size_accounts_for_reach_index(condensed):

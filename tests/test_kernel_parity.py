@@ -415,7 +415,7 @@ def test_sharded_database_parity(seed, data):
 # Batched / deadline / overlay smoke under each backend
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKEND_PAIR)
-def test_parallel_and_overlay_paths(backend):
+def test_deadline_batch_and_overlay_paths(backend):
     import random
 
     from repro.geometry import Rect

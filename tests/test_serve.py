@@ -257,8 +257,8 @@ def test_batch_timeout_maps_to_504():
 
 def test_batch_deadline_end_to_end(server, tiny_net):
     # A real database with an absurdly small request deadline: the
-    # service routes it through a deadline-checking executor and the
-    # expiry surfaces as 504.
+    # service runs the batch through the deadline-checked batch path
+    # (``repro.exec.run_batch``) and the expiry surfaces as 504.
     _, base = server
     queries = [[v, [0, 0, 1, 1]] for v in range(64)]
     code, body, _ = _post(
