@@ -19,6 +19,12 @@ from repro.graph.traversal import (
 from repro.graph.scc import strongly_connected_components
 from repro.graph.condensation import Condensation, condense
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.graph.reduction import (
+    ReducedDag,
+    equivalence_classes,
+    reduce_dag,
+    transitive_reduction,
+)
 
 __all__ = [
     "DiGraph",
@@ -33,4 +39,8 @@ __all__ = [
     "condense",
     "read_edge_list",
     "write_edge_list",
+    "ReducedDag",
+    "equivalence_classes",
+    "reduce_dag",
+    "transitive_reduction",
 ]
